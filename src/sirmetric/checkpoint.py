@@ -54,11 +54,23 @@ def save_checkpoint(dir_path, model: ReidModel, optimizer: Adam,
     write_archive(dir_path, meta, tensors)
 
 
+class _Entries(dict):
+    """Checkpoint meta or tensors whose missing keys raise ValueError naming
+    the key and the checkpoint directory, for every reader of them."""
+
+    def __init__(self, entries: dict, dir_path):
+        super().__init__(entries)
+        self.dir_path = dir_path
+
+    def __missing__(self, key):
+        raise ValueError(f"checkpoint {self.dir_path} is missing {key!r}")
+
+
 def load_checkpoint(dir_path):
     """Rebuild (model, optimizer, registry, meta) from a checkpoint
     directory.  Parameter values, Adam moments and step count, and cluster
     centers are restored bit-exactly."""
-    meta, tensors = read_archive(dir_path)
+    meta, tensors = (_Entries(part, dir_path) for part in read_archive(dir_path))
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"archive at {dir_path} is not a checkpoint "
                          f"(kind={meta.get('kind')!r})")
@@ -75,9 +87,7 @@ def load_checkpoint(dir_path):
     )
     model = ReidModel(cfg, seed=0)
     for name, param in model.params.items():
-        stored = tensors.get(f"param/{name}")
-        if stored is None:
-            raise ValueError(f"checkpoint is missing parameter {name!r}")
+        stored = tensors[f"param/{name}"]
         if stored.shape != param.data.shape:
             raise ValueError(f"parameter {name!r} has shape {stored.shape}, "
                              f"expected {param.data.shape}")

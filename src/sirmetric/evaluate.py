@@ -3,7 +3,9 @@
 Fused vector = [id embedding | appearance embedding | alpha * pooled
 backbone features], optionally averaged with the horizontally flipped
 image's vector.  Ranking is ascending Euclidean distance with ties broken
-by gallery index.
+by gallery index.  Distances come from the squared-norm expansion
+||q||^2 + ||g||^2 - 2 q.g, one matrix product with O(Q * N_g) memory, and
+equal the direct ||q - g|| up to rounding.
 """
 from __future__ import annotations
 
@@ -15,14 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset, horizontal_flip
 from .networks import ReidModel
-
-
-@dataclass
-class FusedEmbedding:
-    """One sample's retrieval vector plus the alpha it was built with."""
-
-    vector: np.ndarray
-    alpha: float
 
 
 @dataclass
@@ -70,30 +64,28 @@ def _fuse_chunk(chunk: np.ndarray, model: ReidModel, alpha: float) -> np.ndarray
     return np.concatenate([emb.id_feat.data, emb.app_feat.data, alpha * pooled], axis=1)
 
 
-def embed_for_eval(image: np.ndarray, model: ReidModel, alpha: float = 0.55,
-                   use_flip: bool = True) -> FusedEmbedding:
-    """Single-image wrapper around fuse_embeddings."""
-    vec = fuse_embeddings(np.asarray(image)[None], model, alpha, use_flip)[0]
-    return FusedEmbedding(vec, alpha)
-
-
-def rank_gallery(query_vector: np.ndarray, gallery_vectors: np.ndarray):
-    """Ascending-Euclidean gallery order for one query: (indices, distances
-    in that order).  Equal distances keep gallery-index order."""
-    gallery_vectors = np.asarray(gallery_vectors, dtype=np.float64)
-    if gallery_vectors.ndim != 2 or gallery_vectors.shape[0] == 0:
-        raise ValueError("gallery must be a non-empty (N, dim) matrix")
-    distances = np.linalg.norm(gallery_vectors - np.asarray(query_vector)[None, :], axis=1)
-    order = np.argsort(distances, kind="stable")
-    return order, distances[order]
-
-
 def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
-    """All queries at once: (Q, N_g) index matrix and matching distances."""
-    diffs = query_vectors[:, None, :] - gallery_vectors[None, :, :]
-    distances = np.linalg.norm(diffs, axis=2)
-    order = np.argsort(distances, axis=1, kind="stable")
-    return order, np.take_along_axis(distances, order, axis=1)
+    """Ascending-Euclidean gallery order for every query: (Q, N_g) index
+    matrix and the distances in that order.  Equal distances keep
+    gallery-index order."""
+    queries = np.asarray(query_vectors, dtype=np.float64)
+    gallery = np.asarray(gallery_vectors, dtype=np.float64)
+    if (gallery.ndim != 2 or gallery.shape[0] == 0 or queries.ndim != 2
+            or queries.shape[1] != gallery.shape[1]):
+        raise ValueError("need (Q, dim) queries and a non-empty (N, dim) gallery, "
+                         f"got shapes {queries.shape} and {gallery.shape}")
+    squared = ((queries * queries).sum(axis=1)[:, None] + (gallery * gallery).sum(axis=1)
+               - 2.0 * (queries @ gallery.T))
+    distances = np.sqrt(np.maximum(squared, 0.0))
+    order = np.argsort(distances, axis=1)
+    ranked = np.take_along_axis(distances, order, axis=1)
+    # The default sort is not stable: rows holding an exact tie (or a NaN)
+    # are sorted again stably so ties keep gallery-index order.
+    unstable = ~np.all(np.diff(ranked, axis=1) > 0.0, axis=1)
+    if unstable.any():
+        order[unstable] = np.argsort(distances[unstable], axis=1, kind="stable")
+        ranked = np.take_along_axis(distances, order, axis=1)
+    return order, ranked
 
 
 def cmc_and_map(rank_indices: np.ndarray, query_labels: np.ndarray,
@@ -111,20 +103,17 @@ def cmc_and_map(rank_indices: np.ndarray, query_labels: np.ndarray,
         raise ValueError("empty gallery")
     ranked_labels = gallery_labels[rank_indices]
     matches = ranked_labels == query_labels[:, None]
-    hit_by_k = np.cumsum(matches, axis=1) > 0
-    cmc = hit_by_k.mean(axis=0)
-    aps = []
-    skipped = 0
-    for row in matches:
-        total_relevant = int(row.sum())
-        if total_relevant == 0:
-            skipped += 1
-            continue
-        positions = np.flatnonzero(row) + 1  # 1-based ranks of the hits
-        precisions = np.cumsum(row)[positions - 1] / positions
-        aps.append(precisions.sum() / total_relevant)
-    mean_ap = float(np.mean(aps)) if aps else 0.0
-    return RetrievalResult(ranked_labels, cmc, mean_ap, skipped)
+    hits = np.cumsum(matches, axis=1)
+    cmc = (hits > 0).mean(axis=0)
+    rows, cols = np.nonzero(matches)
+    # precision at each hit: hits so far over its 1-based rank
+    precision_sums = np.bincount(rows, weights=hits[rows, cols] / (cols + 1),
+                                 minlength=matches.shape[0])
+    total_relevant = hits[:, -1]
+    matched = total_relevant > 0
+    aps = precision_sums[matched] / total_relevant[matched]
+    mean_ap = float(aps.mean()) if aps.size else 0.0
+    return RetrievalResult(ranked_labels, cmc, mean_ap, int((~matched).sum()))
 
 
 def evaluate_retrieval(dataset: Dataset, model: ReidModel, alpha: float = 0.55,

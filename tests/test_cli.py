@@ -140,6 +140,27 @@ def test_missing_checkpoint_is_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key", ["adam.t", "eval.alpha", "tensor.adam_v/cam.w"])
+def test_checkpoint_missing_key_is_error(tmp_path, capsys, key):
+    config_path, out_dir = _write_config(tmp_path)
+    assert main(["train", "--config", config_path]) == 0
+    data_dir = str(tmp_path / "data")
+    assert main(["synth", "--ids", "4", "--per-id", "5",
+                 "--seed", "1", "--out", data_dir]) == 0
+    capsys.readouterr()
+    ckpt = os.path.join(out_dir, "ckpt_final")
+    manifest = os.path.join(ckpt, "manifest.txt")
+    lines = open(manifest).read().splitlines()
+    kept = [line for line in lines if not line.startswith(key + "=")]
+    assert len(kept) == len(lines) - 1
+    with open(manifest, "w") as handle:
+        handle.write("\n".join(kept) + "\n")
+    assert main(["eval", "--ckpt", ckpt, "--data", data_dir]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert ckpt in err
+
+
 def test_flip_flag_rejects_junk(capsys):
     code = main(["eval", "--ckpt", "x", "--data", "y", "--flip", "maybe"])
     assert code == 1

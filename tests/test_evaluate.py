@@ -6,36 +6,61 @@ import numpy as np
 import pytest
 
 from sirmetric.data import DatasetManifest, generate
-from sirmetric.evaluate import (cmc_and_map, embed_for_eval, evaluate_retrieval,
+from sirmetric.evaluate import (cmc_and_map, evaluate_retrieval,
                                 fuse_embeddings, metrics_json, rank_all,
-                                rank_gallery, write_embeddings_csv,
-                                write_rankings_csv)
+                                write_embeddings_csv, write_rankings_csv)
 from sirmetric.networks import NetworkConfig, ReidModel
 
 CFG = NetworkConfig(image_shape=(1, 4, 4), feature_shape=(3, 2, 2),
                     id_dim=4, app_dim=2, num_identities=3, id_dropout=0.0)
 
 
-def test_rank_gallery_sort_oracle():
-    query = np.array([0.0])
+def _brute_force_distances(queries, gallery):
+    return np.linalg.norm(queries[:, None, :] - gallery[None, :, :], axis=2)
+
+
+def test_rank_all_sort_oracle():
+    query = np.array([[0.0]])
     gallery = np.array([[3.0], [1.0], [2.0]])
-    order, distances = rank_gallery(query, gallery)
-    np.testing.assert_array_equal(order, [1, 2, 0])
-    np.testing.assert_array_equal(distances, [1.0, 2.0, 3.0])
+    order, distances = rank_all(query, gallery)
+    np.testing.assert_array_equal(order, [[1, 2, 0]])
+    np.testing.assert_array_equal(distances, [[1.0, 2.0, 3.0]])
+
+    # Rows longer than 16 with many exact ties on an integer grid: the
+    # default sort and the stable re-sort of tied rows both run.
+    rng = np.random.default_rng(5)
+    queries = rng.integers(0, 3, size=(64, 3)).astype(float)
+    gallery = rng.integers(0, 3, size=(300, 3)).astype(float)
+    brute = _brute_force_distances(queries, gallery)
+    order, distances = rank_all(queries, gallery)
+    np.testing.assert_array_equal(order, np.argsort(brute, axis=1, kind="stable"))
+    np.testing.assert_array_equal(distances, np.take_along_axis(brute, order, axis=1))
+
+    queries = rng.normal(size=(200, 28))
+    gallery = rng.normal(size=(300, 28))
+    brute = _brute_force_distances(queries, gallery)
+    order, distances = rank_all(queries, gallery)
+    reference = np.take_along_axis(brute, order, axis=1)
+    np.testing.assert_allclose(distances, reference, rtol=0, atol=1e-12)
+    assert np.all(np.diff(reference, axis=1) >= 0.0)
 
 
-def test_rank_gallery_self_match_first_and_stable_ties():
-    query = np.array([1.0, 1.0])
+def test_rank_all_self_match_first_and_stable_ties():
+    query = np.array([[1.0, 1.0]])
     gallery = np.array([[2.0, 2.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
-    order, _ = rank_gallery(query, gallery)
-    assert order[0] == 1
+    order, _ = rank_all(query, gallery)
+    assert order[0, 0] == 1
     # indices 0 and 3 are equidistant; stable order keeps 0 before 3
-    assert list(order).index(0) < list(order).index(3)
+    assert list(order[0]).index(0) < list(order[0]).index(3)
 
 
-def test_rank_gallery_rejects_empty():
+def test_rank_all_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        rank_gallery(np.array([0.0]), np.zeros((0, 1)))
+        rank_all(np.array([[0.0]]), np.zeros((0, 1)))
+    with pytest.raises(ValueError):
+        rank_all(np.array([[0.0]]), np.zeros(3))
+    with pytest.raises(ValueError):
+        rank_all(np.zeros((1, 2)), np.zeros((3, 5)))
 
 
 def test_fused_embedding_length_and_alpha_zero():
@@ -45,9 +70,8 @@ def test_fused_embedding_length_and_alpha_zero():
     vecs = fuse_embeddings(images, model, alpha=0.0, use_flip=False)
     assert vecs.shape == (3, 4 + 2 + 3)
     np.testing.assert_array_equal(vecs[:, 6:], np.zeros((3, 3)))
-    single = embed_for_eval(images[0], model, alpha=0.55, use_flip=False)
-    assert single.vector.shape == (9,)
-    assert single.alpha == 0.55
+    single = fuse_embeddings(images[:1], model, alpha=0.55, use_flip=False)
+    assert single.shape == (1, 9)
 
 
 def test_flip_average_equals_single_pass_on_symmetric_image():
@@ -138,7 +162,9 @@ def _brute_force_cmc_map(query_vecs, gallery_vecs, q_labels, g_labels):
 def test_cmc_map_matches_brute_force_on_random_instances():
     rng = np.random.default_rng(4)
     for trial in range(200):
-        num_g = int(rng.integers(1, 9))
+        # every fourth instance is larger, so some rows carry 8 or more
+        # relevant items
+        num_g = int(rng.integers(1, 41 if trial % 4 == 3 else 9))
         num_q = int(rng.integers(1, 5))
         dim = int(rng.integers(1, 4))
         if trial % 2 == 0:
