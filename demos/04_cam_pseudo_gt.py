@@ -1,11 +1,12 @@
 """Class-activation maps, mean-threshold masks, and the re-entangled
 pseudo-ground-truth targets that supervise the hard-negative
 reconstruction."""
+import os
+import tempfile
+
 import numpy as np
 
-from sirmetric import autodiff as ad
-from sirmetric.cam import (build_cam_artifacts, build_pseudo_gt, cam_masks,
-                           write_cam_debug_csv)
+from sirmetric.cam import build_pseudo_gt_batch, cam_masks, write_cam_debug_csv
 from sirmetric.networks import NetworkConfig, ReidModel
 
 # Masks come straight from thresholding a map at its own mean; ties count
@@ -22,26 +23,31 @@ print("partition holds:", np.array_equal(id_mask + app_mask, np.ones((2, 2))))
 # the backbone feature map: map[h,w] = sum_c W[c, y] * f[c, h, w].
 model = ReidModel(NetworkConfig(), seed=0)
 rng = np.random.default_rng(3)
-features = rng.uniform(size=model.config.feature_shape)
-art = build_cam_artifacts(features, label=4, model=model)
-print("\nmodel CAM shape:", art.cam.shape, " threshold:", round(art.threshold, 4))
-print("id cells:", int(art.id_mask.sum()), "of", art.id_mask.size)
+features = rng.uniform(size=(1,) + model.config.feature_shape)
+model_cam = model.cam_maps(features, np.array([4]))[0]
+model_id_mask, _ = cam_masks(model_cam)
+print("\nmodel CAM shape:", model_cam.shape, " threshold:", round(model_cam.mean(), 4))
+print("id cells:", int(model_id_mask.sum()), "of", model_id_mask.size)
 
 # Pseudo-ground-truth for a (query, negative) pair: keep the query's
 # id-relevant cells, fill cells both maps call id-irrelevant from the
 # negative, zero out the rest.  The mirror-image map swaps the roles.
-f_q = rng.uniform(size=model.config.feature_shape)
-f_n = rng.uniform(size=model.config.feature_shape)
-art_q = build_cam_artifacts(f_q, label=1, model=model)
-art_n = build_cam_artifacts(f_n, label=6, model=model)
-pseudo = build_pseudo_gt(f_q, f_n, art_q, art_n)
+# Training builds these for the whole batch in one call; here the batch
+# holds one pair.
+f_q = rng.uniform(size=(1,) + model.config.feature_shape)
+f_n = rng.uniform(size=(1,) + model.config.feature_shape)
+cam_q = model.cam_maps(f_q, np.array([1]))
+cam_n = model.cam_maps(f_n, np.array([6]))
+id_from_query, id_from_negative = build_pseudo_gt_batch(f_q, f_n, cam_q, cam_n)
 
-cell_sources = np.zeros(art_q.id_mask.shape, dtype=object)
+id_q, _ = cam_masks(cam_q[0])
+_, app_n = cam_masks(cam_n[0])
+cell_sources = np.zeros(id_q.shape, dtype=object)
 for h in range(cell_sources.shape[0]):
     for w in range(cell_sources.shape[1]):
-        if art_q.id_mask[h, w]:
+        if id_q[h, w]:
             cell_sources[h, w] = "query"
-        elif art_n.app_mask[h, w]:
+        elif app_n[h, w]:
             cell_sources[h, w] = "negative"
         else:
             cell_sources[h, w] = "zero"
@@ -51,11 +57,13 @@ for row in cell_sources:
 
 # The targets are detached numpy arrays: reconstruction gradients flow
 # into the generator, never back through the mask logic.
-print("targets are numpy:", type(pseudo.id_from_query).__name__)
+print("targets are numpy:", type(id_from_query).__name__)
 
 # Everything above can be dumped as labeled CSV blocks for inspection.
-write_cam_debug_csv("/tmp/cam_debug.csv", art_q, pseudo)
-print("\nwrote /tmp/cam_debug.csv; first lines:")
-with open("/tmp/cam_debug.csv") as handle:
-    for line in list(handle)[:6]:
-        print("  " + line.rstrip())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cam_debug.csv")
+    write_cam_debug_csv(path, cam_q[0], id_from_query[0], id_from_negative[0])
+    print("\nwrote cam_debug.csv; first lines:")
+    with open(path) as handle:
+        for line in list(handle)[:6]:
+            print("  " + line.rstrip())

@@ -183,9 +183,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], tuple) else shape)
 
-    def softmax(self, axis=-1):
-        return softmax(self, axis)
-
     def squash(self):
         return squash(self)
 
@@ -369,21 +366,6 @@ def absolute(a) -> Tensor:
     return _node(data, (a,), rule)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _coerce(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-    if not _recording(a):
-        return Tensor(data)
-
-    def rule(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        a._accumulate(data * (g - inner))
-
-    return _node(data, (a,), rule)
-
-
 def squash(a) -> Tensor:
     """Norm-bounding nonlinearity: v -> (|v|^2 / (1 + |v|^2)) * v / |v|.
 
@@ -453,16 +435,6 @@ def tensor_mean(a, axis=None) -> Tensor:
             a._accumulate(np.broadcast_to(np.expand_dims(g / count, axis), a.data.shape).copy())
 
     return _node(data, (a,), rule)
-
-
-def l1_norm(a) -> Tensor:
-    """Sum of absolute values."""
-    return tensor_sum(absolute(a))
-
-
-def l2_norm_sq(a) -> Tensor:
-    """Sum of squares."""
-    return tensor_sum(square(a))
 
 
 def reshape(a, shape) -> Tensor:

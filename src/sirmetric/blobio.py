@@ -5,14 +5,21 @@ to one flat little-endian float64 blob.
 Manifest layout:
 
     format=sir-metric/1
-    <meta key>=<value>            # free-form strings, no '=' in keys
+    <meta key>=<value>            # no '=' in keys
     tensor.<name>=<d0>,<d1>,...:<byte offset>
 
 Tensor bytes live in ``data.blob`` at the stated offsets, C-order '<f8'.
+
+The ``key=value`` value text, shared with run configs: bools are
+``true``/``false``, floats their repr (exact round trip), tuples
+comma-separated.  ``field_table`` maps a dataclass onto flat keys, each
+parsed by its field's declared type, so one declaration fixes both.
 """
 from __future__ import annotations
 
 import os
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -25,16 +32,72 @@ class ArchiveError(ValueError):
     """Malformed or missing archive contents."""
 
 
+def format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def parse_bool(text: str) -> bool:
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def parse_shape(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
+_PARSERS = {bool: parse_bool, tuple: parse_shape, int: int, float: float, str: str}
+
+
+def field_table(cls, prefix: str = "", exclude=()) -> list:
+    """(flat key, field name, parser) for each field of the dataclass
+    ``cls`` in declaration order; the key is ``prefix + name``."""
+    hints = get_type_hints(cls)
+    return [(prefix + f.name, f.name, _PARSERS[hints[f.name]])
+            for f in fields(cls) if f.name not in exclude]
+
+
+class Entries(dict):
+    """Archive meta or tensors.  A missing key or an unparsable value raises
+    ArchiveError naming the key and the archive directory."""
+
+    def __init__(self, entries: dict, dir_path):
+        super().__init__(entries)
+        self.dir_path = dir_path
+
+    def __missing__(self, key):
+        raise ArchiveError(f"archive {self.dir_path} is missing {key!r}")
+
+    def parse(self, key: str, parser):
+        text = self[key]
+        try:
+            return parser(text)
+        except ValueError:
+            raise ArchiveError(f"archive {self.dir_path} has a bad value for "
+                               f"{key!r}: {text!r}") from None
+
+    def decode_fields(self, table) -> dict:
+        return {name: self.parse(key, parser) for key, name, parser in table}
+
+
 def write_archive(dir_path, meta: dict, tensors: dict) -> None:
     """Write manifest + blob; creates the directory if needed.  Tensor
-    values are converted to float64; meta values are stringified."""
+    values are converted to float64; meta values go through format_value."""
     os.makedirs(dir_path, exist_ok=True)
     lines = [f"format={FORMAT_TAG}"]
     for key, value in meta.items():
         key = str(key)
         if "=" in key or key.startswith("tensor.") or key == "format":
             raise ArchiveError(f"illegal meta key: {key!r}")
-        value = str(value)
+        value = format_value(value)
         if "\n" in value:
             raise ArchiveError(f"meta value for {key!r} contains a newline")
         lines.append(f"{key}={value}")
@@ -42,8 +105,7 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
     chunks = []
     for name in sorted(tensors):
         array = np.ascontiguousarray(np.asarray(tensors[name], dtype="<f8"))
-        shape = ",".join(str(d) for d in array.shape)
-        lines.append(f"tensor.{name}={shape}:{offset}")
+        lines.append(f"tensor.{name}={format_value(array.shape)}:{offset}")
         raw = array.tobytes()
         chunks.append(raw)
         offset += len(raw)
@@ -55,7 +117,8 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
 
 
 def read_archive(dir_path):
-    """Read manifest + blob back into (meta dict, tensor dict)."""
+    """Read manifest + blob back into (meta, tensors), both Entries: meta
+    maps keys to value text, tensors map names to float64 arrays."""
     manifest_path = os.path.join(dir_path, MANIFEST_NAME)
     blob_path = os.path.join(dir_path, BLOB_NAME)
     if not os.path.isfile(manifest_path):
@@ -91,4 +154,4 @@ def read_archive(dir_path):
             raise ArchiveError(f"tensor {name!r} overruns the blob "
                                f"({end} > {len(blob)} bytes)")
         tensors[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-    return meta, tensors
+    return Entries(meta, dir_path), Entries(tensors, dir_path)

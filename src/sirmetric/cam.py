@@ -1,52 +1,16 @@
 """Activation-map masks, pseudo-ground-truth feature re-entanglement, and
 the embedding-swap augmentations feeding the reconstruction losses.
 
+Re-entanglement has one path, batched; a single pair is a batch of one.
 Masks and pseudo-ground-truth maps are plain numpy: they act as detached
 reconstruction targets, never as gradient paths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError
 from .networks import DisentangledEmbedding, ReidModel
-
-
-@dataclass
-class CamArtifacts:
-    """One sample's activation map with its threshold and indicator masks.
-
-    ``id_mask`` marks cells at or above the map mean (ties count as
-    id-relevant so the two masks always partition the grid); ``app_mask``
-    is the complement.
-    """
-
-    cam: np.ndarray
-    threshold: float
-    id_mask: np.ndarray
-    app_mask: np.ndarray
-
-    def __post_init__(self):
-        if not np.array_equal(self.id_mask + self.app_mask, np.ones_like(self.id_mask)):
-            raise ValueError("id_mask and app_mask must partition the grid")
-
-
-@dataclass
-class PseudoGroundTruth:
-    """Re-entangled target maps for one (query, negative) pair.
-
-    ``id_from_query`` keeps the query's id-relevant cells and fills the
-    jointly id-irrelevant cells from the negative; ``id_from_negative`` is
-    the mirror image.  Cells covered by neither mask are zero.
-    """
-
-    id_from_query: np.ndarray
-    id_from_negative: np.ndarray
-    query_masks: CamArtifacts
-    negative_masks: CamArtifacts
 
 
 def cam_masks(cam: np.ndarray):
@@ -58,45 +22,18 @@ def cam_masks(cam: np.ndarray):
     return id_mask, 1.0 - id_mask
 
 
-def build_cam_artifacts(feature_values: np.ndarray, label: int,
-                        model: ReidModel) -> CamArtifacts:
-    """Feature map (C_b, H_b, W_b) + true label -> map, mean threshold, and
-    the id/appearance indicator masks."""
-    feature_values = np.asarray(feature_values, dtype=np.float64)
-    if feature_values.shape != model.config.feature_shape:
-        raise ShapeError(f"expected feature shape {model.config.feature_shape}, "
-                         f"got {feature_values.shape}")
-    cam = model.cam_maps(feature_values[None], np.array([label]))[0]
-    id_mask, app_mask = cam_masks(cam)
-    return CamArtifacts(cam, float(cam.mean()), id_mask, app_mask)
-
-
-def build_pseudo_gt(f_query: np.ndarray, f_negative: np.ndarray,
-                    art_query: CamArtifacts,
-                    art_negative: CamArtifacts) -> PseudoGroundTruth:
-    """Assemble both re-entangled target maps for a (query, negative) pair.
-
-    id_from_query = id_mask_q * f_q + (app_mask_q * app_mask_n) * f_n, with
-    masks broadcast over channels; id_from_negative swaps the roles.
-    """
-    f_query = np.asarray(f_query, dtype=np.float64)
-    f_negative = np.asarray(f_negative, dtype=np.float64)
-    if f_query.shape != f_negative.shape or f_query.ndim != 3:
-        raise ShapeError(f"feature maps must share a (C, H, W) shape, got "
-                         f"{f_query.shape} and {f_negative.shape}")
-    if f_query.shape[1:] != art_query.id_mask.shape:
-        raise ShapeError("mask spatial shape does not match the feature maps")
-    joint_app = art_query.app_mask * art_negative.app_mask
-    id_from_query = art_query.id_mask[None] * f_query + joint_app[None] * f_negative
-    id_from_negative = art_negative.id_mask[None] * f_negative + joint_app[None] * f_query
-    return PseudoGroundTruth(id_from_query, id_from_negative, art_query, art_negative)
-
-
 def build_pseudo_gt_batch(f_query: np.ndarray, f_negative: np.ndarray,
                           cam_query: np.ndarray, cam_negative: np.ndarray):
-    """Vectorized re-entanglement over a batch: feature arrays (B, C, H, W)
-    and raw activation maps (B, H, W) in, the two target stacks out.
-    Same arithmetic as build_pseudo_gt, batched."""
+    """Re-entangle (query, negative) feature maps into pseudo-ground-truth
+    targets: feature arrays (B, C, H, W) and raw activation maps (B, H, W)
+    in, the two target stacks out.  With masks from cam_masks, broadcast
+    over channels,
+
+        id_from_query    = id_q * f_q + (app_q * app_n) * f_n
+        id_from_negative = id_n * f_n + (app_q * app_n) * f_q
+
+    so each target keeps its own id-relevant cells, fills the jointly
+    id-irrelevant cells from the partner, and is zero elsewhere."""
     id_q, app_q = cam_masks(cam_query)
     id_n, app_n = cam_masks(cam_negative)
     joint = (app_q * app_n)[:, None]
@@ -141,23 +78,25 @@ def augment_negative(emb_query: DisentangledEmbedding,
     return taps[rows], taps[rows + batch]
 
 
-def write_cam_debug_csv(path, artifacts: CamArtifacts,
-                        pseudo: PseudoGroundTruth | None = None) -> None:
-    """Dump map/mask grids (and optionally the pseudo-ground-truth channels)
-    as labeled CSV blocks for eyeballing."""
+def write_cam_debug_csv(path, cam: np.ndarray, id_from_query: np.ndarray | None = None,
+                        id_from_negative: np.ndarray | None = None) -> None:
+    """Dump one (H, W) activation map with its mean threshold and masks, and
+    optionally (C, H, W) pseudo-ground-truth targets per channel, as
+    labeled CSV blocks for eyeballing."""
 
     def block(handle, name, grid):
         handle.write(f"# {name}\n")
         for row in np.atleast_2d(grid):
             handle.write(",".join(repr(float(v)) for v in row) + "\n")
 
+    cam = np.asarray(cam, dtype=np.float64)
+    id_mask, app_mask = cam_masks(cam)
     with open(path, "w") as handle:
-        block(handle, "cam", artifacts.cam)
-        handle.write(f"# threshold\n{artifacts.threshold!r}\n")
-        block(handle, "id_mask", artifacts.id_mask)
-        block(handle, "app_mask", artifacts.app_mask)
-        if pseudo is not None:
-            for c in range(pseudo.id_from_query.shape[0]):
-                block(handle, f"id_from_query_channel_{c}", pseudo.id_from_query[c])
-            for c in range(pseudo.id_from_negative.shape[0]):
-                block(handle, f"id_from_negative_channel_{c}", pseudo.id_from_negative[c])
+        block(handle, "cam", cam)
+        handle.write(f"# threshold\n{float(cam.mean())!r}\n")
+        block(handle, "id_mask", id_mask)
+        block(handle, "app_mask", app_mask)
+        targets = {"id_from_query": id_from_query, "id_from_negative": id_from_negative}
+        for name, target in targets.items():
+            for c in range(0 if target is None else target.shape[0]):
+                block(handle, f"{name}_channel_{c}", target[c])

@@ -12,9 +12,9 @@ import sys
 
 import numpy as np
 
-from .blobio import ArchiveError
+from .blobio import parse_bool
 from .checkpoint import load_checkpoint
-from .config import ConfigError, load_config, with_overrides
+from .config import load_config, with_overrides
 from .data import DatasetManifest, generate, load_dataset, save_dataset
 from .evaluate import (evaluate_retrieval, fuse_embeddings, metrics_json,
                        write_embeddings_csv)
@@ -22,14 +22,6 @@ from .gradcheck import gradcheck_all
 from .networks import ReidModel
 from .training import Trainer
 from . import autodiff as ad
-
-
-def _parse_bool_arg(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
 def cmd_train(args) -> int:
@@ -48,8 +40,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _, meta = load_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
-    alpha = args.alpha if args.alpha is not None else float(meta["eval.alpha"])
-    use_flip = args.flip if args.flip is not None else meta["eval.flip"] == "true"
+    alpha = args.alpha if args.alpha is not None else meta.parse("eval.alpha", float)
+    use_flip = (args.flip == "true" if args.flip is not None
+                else meta.parse("eval.flip", parse_bool))
     result, _, _ = evaluate_retrieval(dataset, model, alpha=alpha, use_flip=use_flip)
     print(metrics_json(result, alpha))
     return 0
@@ -114,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True, help="dataset directory")
     p_eval.add_argument("--alpha", type=float, default=None,
                         help="fusion weight for pooled backbone features")
-    p_eval.add_argument("--flip", type=_parse_bool_arg, default=None,
+    p_eval.add_argument("--flip", choices=("true", "false"), default=None,
                         help="average with horizontally flipped images (true/false)")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -149,13 +142,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, ArchiveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError and ArchiveError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

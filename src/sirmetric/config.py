@@ -1,14 +1,17 @@
 """Run configuration: dataclass defaults plus a flat ``section.key=value``
 text format with exact round-tripping.
 
-Unknown keys are hard errors so a misspelled hyperparameter can never
-silently fall back to its default.  Floats serialize via repr, so
-parse(serialize(c)) == c including every bit of every float.
+The ``net.``, ``loss.`` and ``data.`` keys and every value parser come from
+the dataclass fields (``blobio.field_table``); RunConfig's own fields keep
+explicit key names.  Unknown keys are hard errors so a misspelled
+hyperparameter can never silently fall back to its default.  Floats
+serialize via repr, so parse(serialize(c)) == c bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
+from .blobio import field_table, format_value
 from .data import DatasetManifest
 from .losses import LossWeights
 from .networks import NetworkConfig
@@ -56,75 +59,38 @@ class RunConfig:
                 f"network image shape {self.network.image_shape}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
+# Flat keys of RunConfig's own fields: these names are the file format.
+_TOP_KEYS = dict(
+    learning_rate="optim.learning_rate", beta1="optim.beta1",
+    beta2="optim.beta2", epsilon="optim.epsilon",
+    batch_size="train.batch_size", epochs="train.epochs",
+    steps_per_epoch="train.steps_per_epoch",
+    refresh_period_epochs="train.refresh_period_epochs",
+    grayscale_prob="train.grayscale_prob", seed="train.seed",
+    swap_negative_appearance="train.swap_negative_appearance",
+    data_path="data.path", eval_alpha="eval.alpha", eval_flip="eval.flip",
+    out_dir="out.dir")
+# nested sections: (class, key prefix, excluded fields); "data.image_shape"
+# is absent because the dataset always renders at the network's image shape
+_SECTIONS = {"network": (NetworkConfig, "net.", ()), "loss": (LossWeights, "loss.", ()),
+             "data": (DatasetManifest, "data.", ("image_shape",))}
 
 
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ConfigError(f"expected true/false, got {text!r}")
+def _build_schema() -> list:
+    """(flat key, section, field name, parser) in RunConfig field order."""
+    top = {name: parser for _, name, parser in field_table(RunConfig, exclude=_SECTIONS)}
+    schema = []
+    for f in fields(RunConfig):
+        if f.name in _SECTIONS:
+            cls, prefix, exclude = _SECTIONS[f.name]
+            schema += [(key, f.name, name, parser)
+                       for key, name, parser in field_table(cls, prefix, exclude)]
+        else:
+            schema.append((_TOP_KEYS[f.name], "", f.name, top[f.name]))
+    return schema
 
 
-def _parse_shape(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated ints, got {text!r}") from None
-
-
-# (flat key, section, field name, parser); "data.image_shape" is deliberately
-# absent: the dataset always renders at the network's image shape
-_SCHEMA = [
-    ("net.image_shape", "network", "image_shape", _parse_shape),
-    ("net.feature_shape", "network", "feature_shape", _parse_shape),
-    ("net.id_dim", "network", "id_dim", int),
-    ("net.app_dim", "network", "app_dim", int),
-    ("net.num_identities", "network", "num_identities", int),
-    ("net.backbone_hidden", "network", "backbone_hidden", int),
-    ("net.separator_hidden", "network", "separator_hidden", int),
-    ("net.generator_hidden", "network", "generator_hidden", int),
-    ("net.id_dropout", "network", "id_dropout", float),
-    ("loss.id_weight", "loss", "id_weight", float),
-    ("loss.recon_weight", "loss", "recon_weight", float),
-    ("loss.cls_weight", "loss", "cls_weight", float),
-    ("loss.triplet_weight", "loss", "triplet_weight", float),
-    ("loss.center_weight", "loss", "center_weight", float),
-    ("loss.pos_recon_weight", "loss", "pos_recon_weight", float),
-    ("loss.neg_recon_weight", "loss", "neg_recon_weight", float),
-    ("loss.cam_weight", "loss", "cam_weight", float),
-    ("loss.margin", "loss", "margin", float),
-    ("optim.learning_rate", "", "learning_rate", float),
-    ("optim.beta1", "", "beta1", float),
-    ("optim.beta2", "", "beta2", float),
-    ("optim.epsilon", "", "epsilon", float),
-    ("train.batch_size", "", "batch_size", int),
-    ("train.epochs", "", "epochs", int),
-    ("train.steps_per_epoch", "", "steps_per_epoch", int),
-    ("train.refresh_period_epochs", "", "refresh_period_epochs", int),
-    ("train.grayscale_prob", "", "grayscale_prob", float),
-    ("train.seed", "", "seed", int),
-    ("train.swap_negative_appearance", "", "swap_negative_appearance", _parse_bool),
-    ("data.path", "", "data_path", str),
-    ("data.num_identities", "data", "num_identities", int),
-    ("data.samples_per_identity", "data", "samples_per_identity", int),
-    ("data.train_per_identity", "data", "train_per_identity", int),
-    ("data.query_per_identity", "data", "query_per_identity", int),
-    ("data.gallery_per_identity", "data", "gallery_per_identity", int),
-    ("data.seed", "data", "seed", int),
-    ("data.appearance_bands", "data", "appearance_bands", int),
-    ("eval.alpha", "", "eval_alpha", float),
-    ("eval.flip", "", "eval_flip", _parse_bool),
-    ("out.dir", "", "out_dir", str),
-]
+_SCHEMA = _build_schema()
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -132,7 +98,7 @@ def serialize_config(config: RunConfig) -> str:
     lines = []
     for key, section, name, _ in _SCHEMA:
         holder = getattr(config, section) if section else config
-        lines.append(f"{key}={_fmt(getattr(holder, name))}")
+        lines.append(f"{key}={format_value(getattr(holder, name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -156,14 +122,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = value.strip()
 
-    sections = {"network": {}, "loss": {}, "data": {}, "": {}}
+    sections = {section: {} for section in (*_SECTIONS, "")}
     for key, value in seen.items():
         section, name, parser = schema[key]
         try:
             sections[section][name] = parser(value)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError):
+        except ValueError:
             raise ConfigError(f"bad value for {key}: {value!r}") from None
 
     try:
@@ -171,8 +135,6 @@ def parse_config(text: str) -> RunConfig:
         loss = LossWeights(**sections["loss"])
         data = DatasetManifest(image_shape=network.image_shape, **sections["data"])
         return RunConfig(network=network, loss=loss, data=data, **sections[""])
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

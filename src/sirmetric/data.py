@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blobio import read_archive, write_archive
+from .blobio import ArchiveError, field_table, read_archive, write_archive
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
@@ -205,49 +205,37 @@ def randomly_grayscale(images: np.ndarray, rng, probability: float = 0.1):
     return out, applied
 
 
+_MANIFEST_TABLE = field_table(DatasetManifest)
+_INT_TENSORS = ("labels", "train_idx", "query_idx", "gallery_idx")
+
+
 def save_dataset(dataset: Dataset, dir_path) -> None:
-    m = dataset.manifest
-    meta = {
-        "kind": "dataset",
-        "num_identities": m.num_identities,
-        "samples_per_identity": m.samples_per_identity,
-        "train_per_identity": m.train_per_identity,
-        "query_per_identity": m.query_per_identity,
-        "gallery_per_identity": m.gallery_per_identity,
-        "seed": m.seed,
-        "image_shape": ",".join(str(d) for d in m.image_shape),
-        "appearance_bands": m.appearance_bands,
-    }
-    tensors = {
-        "images": dataset.images,
-        "labels": dataset.labels.astype(np.float64),
-        "train_idx": dataset.train_idx.astype(np.float64),
-        "query_idx": dataset.query_idx.astype(np.float64),
-        "gallery_idx": dataset.gallery_idx.astype(np.float64),
-    }
+    meta = {"kind": "dataset",
+            **{key: getattr(dataset.manifest, name) for key, name, _ in _MANIFEST_TABLE}}
+    tensors = {name: getattr(dataset, name) for name in ("images",) + _INT_TENSORS}
     write_archive(dir_path, meta, tensors)
 
 
 def load_dataset(dir_path) -> Dataset:
+    """Read a dataset archive.  Labels and the three split index tensors
+    must be 1-D and integral, with labels one per image and every index in
+    [0, number of images); otherwise ArchiveError names the tensor."""
     meta, tensors = read_archive(dir_path)
     if meta.get("kind") != "dataset":
         raise ValueError(f"archive at {dir_path} is not a dataset "
                          f"(kind={meta.get('kind')!r})")
-    manifest = DatasetManifest(
-        num_identities=int(meta["num_identities"]),
-        samples_per_identity=int(meta["samples_per_identity"]),
-        train_per_identity=int(meta["train_per_identity"]),
-        query_per_identity=int(meta["query_per_identity"]),
-        gallery_per_identity=int(meta["gallery_per_identity"]),
-        seed=int(meta["seed"]),
-        image_shape=tuple(int(d) for d in meta["image_shape"].split(",")),
-        appearance_bands=int(meta["appearance_bands"]),
-    )
-    return Dataset(
-        images=tensors["images"],
-        labels=tensors["labels"].astype(np.int64),
-        train_idx=tensors["train_idx"].astype(np.int64),
-        query_idx=tensors["query_idx"].astype(np.int64),
-        gallery_idx=tensors["gallery_idx"].astype(np.int64),
-        manifest=manifest,
-    )
+    manifest = DatasetManifest(**meta.decode_fields(_MANIFEST_TABLE))
+    images = tensors["images"]
+    arrays = {}
+    for name in _INT_TENSORS:
+        values = tensors[name]
+        if values.ndim != 1 or not np.all(np.isfinite(values) & (values == np.floor(values))):
+            raise ArchiveError(f"archive {dir_path}: tensor {name!r} is not 1-D integral")
+        arrays[name] = values.astype(np.int64)
+    if len(arrays["labels"]) != len(images):
+        raise ArchiveError(f"archive {dir_path}: tensor 'labels' is not one per image")
+    for name in _INT_TENSORS[1:]:
+        if np.any((arrays[name] < 0) | (arrays[name] >= len(images))):
+            raise ArchiveError(f"archive {dir_path}: tensor {name!r} indexes outside "
+                               f"[0, {len(images)})")
+    return Dataset(images=images, manifest=manifest, **arrays)

@@ -73,7 +73,7 @@ class Trainer:
                               "the run config")
         optimizer.lr = config.learning_rate
         return cls(config, dataset=dataset, model=model, optimizer=optimizer,
-                   registry=registry, start_step=int(meta["step"]))
+                   registry=registry, start_step=meta.parse("step", int))
 
     def run(self, save_checkpoints: bool = True) -> list:
         """Train to epochs * steps_per_epoch total steps (continuing from

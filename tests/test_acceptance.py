@@ -14,7 +14,7 @@ import numpy as np
 
 from sirmetric import autodiff as ad
 from sirmetric.autodiff import Tensor
-from sirmetric.cam import build_pseudo_gt, cam_masks, CamArtifacts
+from sirmetric.cam import build_pseudo_gt_batch, cam_masks
 from sirmetric.config import RunConfig, with_overrides
 from sirmetric.data import DatasetManifest
 from sirmetric.evaluate import cmc_and_map, evaluate_retrieval
@@ -78,6 +78,7 @@ def test_criterion_2_analytic_loss_values():
 def test_criterion_3_pseudo_ground_truth_oracle():
     rng = np.random.default_rng(2024)
     channels, height, width = 3, 4, 3
+    instances = []
     for trial in range(1000):
         f_q = rng.normal(size=(channels, height, width))
         f_n = rng.normal(size=(channels, height, width))
@@ -87,10 +88,12 @@ def test_criterion_3_pseudo_ground_truth_oracle():
         else:
             cam_q = rng.normal(size=(height, width))
             cam_n = rng.normal(size=(height, width))
-        art_q = CamArtifacts(cam_q, float(cam_q.mean()), *cam_masks(cam_q))
-        art_n = CamArtifacts(cam_n, float(cam_n.mean()), *cam_masks(cam_n))
-        pseudo = build_pseudo_gt(f_q, f_n, art_q, art_n)
+        instances.append((f_q, f_n, cam_q, cam_n))
+    # all 1,000 instances through the batched path in one call
+    pseudo_q, pseudo_n = build_pseudo_gt_batch(
+        *(np.stack(part) for part in zip(*instances)))
 
+    for (f_q, f_n, cam_q, cam_n), got_q, got_n in zip(instances, pseudo_q, pseudo_n):
         # Per-cell brute force: keep own id cells, fill jointly id-irrelevant
         # cells from the partner, zero elsewhere.
         want_q = np.zeros_like(f_q)
@@ -107,8 +110,8 @@ def test_criterion_3_pseudo_ground_truth_oracle():
                     want_n[:, h, w] = f_n[:, h, w]
                 elif not q_id:
                     want_n[:, h, w] = f_q[:, h, w]
-        assert np.array_equal(pseudo.id_from_query, want_q)
-        assert np.array_equal(pseudo.id_from_negative, want_n)
+        assert np.array_equal(got_q, want_q)
+        assert np.array_equal(got_n, want_n)
 
     for trial in range(1000):
         if trial % 2 == 0:

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from sirmetric.autodiff import Tensor
-from sirmetric.cam import (CamArtifacts, augment_negative, augment_positive,
-                           build_cam_artifacts, build_pseudo_gt, cam_masks,
-                           write_cam_debug_csv)
+from sirmetric.cam import (augment_negative, augment_positive,
+                           build_pseudo_gt_batch, cam_masks, write_cam_debug_csv)
 from sirmetric.networks import DisentangledEmbedding, NetworkConfig, ReidModel
 
 CFG = NetworkConfig(image_shape=(1, 4, 4), feature_shape=(3, 2, 2),
                     id_dim=4, app_dim=2, num_identities=3, id_dropout=0.0)
 
 
-def _artifacts(id_mask):
-    id_mask = np.asarray(id_mask, dtype=np.float64)
-    return CamArtifacts(id_mask.copy(), 0.5, id_mask, 1.0 - id_mask)
+def _pseudo(f_q, f_n, cam_q, cam_n):
+    """build_pseudo_gt_batch on one (query, negative) pair."""
+    out_q, out_n = build_pseudo_gt_batch(f_q[None], f_n[None],
+                                         np.asarray(cam_q)[None], np.asarray(cam_n)[None])
+    return out_q[0], out_n[0]
 
 
 def test_cam_masks_hand_example():
@@ -48,39 +49,24 @@ def test_cam_masks_partition_random_maps():
     np.testing.assert_array_equal(id_mask * app_mask, np.zeros_like(id_mask))
 
 
-def test_build_cam_artifacts_uses_true_label_map():
-    model = ReidModel(CFG, seed=0)
-    rng = np.random.default_rng(2)
-    f = rng.uniform(size=(3, 2, 2))
-    art = build_cam_artifacts(f, 1, model)
-    expected_cam = model.cam_maps(f[None], np.array([1]))[0]
-    np.testing.assert_array_equal(art.cam, expected_cam)
-    assert art.threshold == expected_cam.mean()
-    np.testing.assert_array_equal(art.id_mask, (expected_cam >= expected_cam.mean()))
-
-
-def test_cam_artifacts_reject_broken_partition():
-    with pytest.raises(ValueError):
-        CamArtifacts(np.zeros((2, 2)), 0.0, np.ones((2, 2)), np.ones((2, 2)))
-
-
 def test_pseudo_gt_hand_example():
     f_q = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     f_n = np.array([[[5.0, 6.0], [7.0, 8.0]]])
-    art_q = _artifacts([[1.0, 0.0], [0.0, 0.0]])   # app_q = [[0,1],[1,1]]
-    art_n = _artifacts([[0.0, 1.0], [0.0, 0.0]])   # app_n = [[1,0],[1,1]] -> joint [[0,0],[1,1]]
-    pseudo = build_pseudo_gt(f_q, f_n, art_q, art_n)
-    np.testing.assert_array_equal(pseudo.id_from_query, [[[1.0, 0.0], [7.0, 8.0]]])
-    np.testing.assert_array_equal(pseudo.id_from_negative, [[[0.0, 6.0], [3.0, 4.0]]])
+    # a 0/1 map thresholds at its mean to itself
+    cam_q = [[1.0, 0.0], [0.0, 0.0]]   # app_q = [[0,1],[1,1]]
+    cam_n = [[0.0, 1.0], [0.0, 0.0]]   # app_n = [[1,0],[1,1]] -> joint [[0,0],[1,1]]
+    id_from_query, id_from_negative = _pseudo(f_q, f_n, cam_q, cam_n)
+    np.testing.assert_array_equal(id_from_query, [[[1.0, 0.0], [7.0, 8.0]]])
+    np.testing.assert_array_equal(id_from_negative, [[[0.0, 6.0], [3.0, 4.0]]])
 
 
 def test_pseudo_gt_vanishing_joint_region():
     rng = np.random.default_rng(3)
     f_q, f_n = rng.uniform(size=(2, 2, 2, 2))
-    art_q = _artifacts([[1.0, 1.0], [0.0, 0.0]])
-    art_n = _artifacts([[0.0, 0.0], [1.0, 1.0]])  # app masks are disjoint
-    pseudo = build_pseudo_gt(f_q, f_n, art_q, art_n)
-    np.testing.assert_array_equal(pseudo.id_from_query, art_q.id_mask[None] * f_q)
+    cam_q = np.array([[1.0, 1.0], [0.0, 0.0]])
+    cam_n = np.array([[0.0, 0.0], [1.0, 1.0]])  # app masks are disjoint
+    id_from_query, _ = _pseudo(f_q, f_n, cam_q, cam_n)
+    np.testing.assert_array_equal(id_from_query, cam_q[None] * f_q)
 
 
 def _brute_force_pseudo(f_keep, f_fill, id_keep, app_keep, app_fill):
@@ -102,32 +88,30 @@ def test_pseudo_gt_matches_brute_force_oracle():
     for _ in range(100):
         f_q = rng.uniform(size=(2, 3, 2))
         f_n = rng.uniform(size=(2, 3, 2))
-        id_q, app_q = cam_masks(rng.normal(size=(3, 2)))
-        id_n, app_n = cam_masks(rng.normal(size=(3, 2)))
-        art_q = CamArtifacts(np.zeros((3, 2)), 0.0, id_q, app_q)
-        art_n = CamArtifacts(np.zeros((3, 2)), 0.0, id_n, app_n)
-        pseudo = build_pseudo_gt(f_q, f_n, art_q, art_n)
+        cam_q = rng.normal(size=(3, 2))
+        cam_n = rng.normal(size=(3, 2))
+        id_q, app_q = cam_masks(cam_q)
+        id_n, app_n = cam_masks(cam_n)
+        id_from_query, id_from_negative = _pseudo(f_q, f_n, cam_q, cam_n)
         np.testing.assert_array_equal(
-            pseudo.id_from_query, _brute_force_pseudo(f_q, f_n, id_q, app_q, app_n))
+            id_from_query, _brute_force_pseudo(f_q, f_n, id_q, app_q, app_n))
         np.testing.assert_array_equal(
-            pseudo.id_from_negative, _brute_force_pseudo(f_n, f_q, id_n, app_n, app_q))
+            id_from_negative, _brute_force_pseudo(f_n, f_q, id_n, app_n, app_q))
 
 
 def test_pseudo_gt_role_swap_symmetry():
     rng = np.random.default_rng(5)
     f_q, f_n = rng.uniform(size=(2, 2, 2, 2))
-    id_q, app_q = cam_masks(rng.normal(size=(2, 2)))
-    id_n, app_n = cam_masks(rng.normal(size=(2, 2)))
-    art_q = CamArtifacts(np.zeros((2, 2)), 0.0, id_q, app_q)
-    art_n = CamArtifacts(np.zeros((2, 2)), 0.0, id_n, app_n)
-    forward = build_pseudo_gt(f_q, f_n, art_q, art_n)
-    swapped = build_pseudo_gt(f_n, f_q, art_n, art_q)
-    np.testing.assert_array_equal(forward.id_from_query, swapped.id_from_negative)
-    np.testing.assert_array_equal(forward.id_from_negative, swapped.id_from_query)
+    cam_q = rng.normal(size=(2, 2))
+    cam_n = rng.normal(size=(2, 2))
+    forward = _pseudo(f_q, f_n, cam_q, cam_n)
+    swapped = _pseudo(f_n, f_q, cam_n, cam_q)
+    np.testing.assert_array_equal(forward[0], swapped[1])
+    np.testing.assert_array_equal(forward[1], swapped[0])
 
 
 def test_pseudo_gt_batch_matches_per_sample():
-    from sirmetric.cam import build_pseudo_gt_batch
+    # one batched call, each sample checked against the brute-force oracle
     rng = np.random.default_rng(15)
     f_q = rng.uniform(size=(6, 2, 3, 2))
     f_n = rng.uniform(size=(6, 2, 3, 2))
@@ -137,24 +121,23 @@ def test_pseudo_gt_batch_matches_per_sample():
     for b in range(6):
         id_q, app_q = cam_masks(cam_q[b])
         id_n, app_n = cam_masks(cam_n[b])
-        art_q = CamArtifacts(cam_q[b], float(cam_q[b].mean()), id_q, app_q)
-        art_n = CamArtifacts(cam_n[b], float(cam_n[b].mean()), id_n, app_n)
-        single = build_pseudo_gt(f_q[b], f_n[b], art_q, art_n)
-        np.testing.assert_array_equal(batch_q[b], single.id_from_query)
-        np.testing.assert_array_equal(batch_n[b], single.id_from_negative)
+        np.testing.assert_array_equal(
+            batch_q[b], _brute_force_pseudo(f_q[b], f_n[b], id_q, app_q, app_n))
+        np.testing.assert_array_equal(
+            batch_n[b], _brute_force_pseudo(f_n[b], f_q[b], id_n, app_n, app_q))
 
 
 def test_pseudo_gt_support_invariant():
     rng = np.random.default_rng(6)
     f_q = rng.uniform(0.5, 1.0, size=(2, 3, 3))
     f_n = rng.uniform(0.5, 1.0, size=(2, 3, 3))
-    id_q, app_q = cam_masks(rng.normal(size=(3, 3)))
-    id_n, app_n = cam_masks(rng.normal(size=(3, 3)))
-    art_q = CamArtifacts(np.zeros((3, 3)), 0.0, id_q, app_q)
-    art_n = CamArtifacts(np.zeros((3, 3)), 0.0, id_n, app_n)
-    pseudo = build_pseudo_gt(f_q, f_n, art_q, art_n)
+    cam_q = rng.normal(size=(3, 3))
+    cam_n = rng.normal(size=(3, 3))
+    id_q, app_q = cam_masks(cam_q)
+    _, app_n = cam_masks(cam_n)
+    id_from_query, _ = _pseudo(f_q, f_n, cam_q, cam_n)
     outside = (id_q + app_q * app_n) == 0.0
-    assert np.all(pseudo.id_from_query[:, outside] == 0.0)
+    assert np.all(id_from_query[:, outside] == 0.0)
 
 
 def _embeddings(model, batch, seed):
@@ -214,14 +197,20 @@ def test_augment_negative_identical_pair_collapses():
 def test_cam_debug_csv_dump(tmp_path):
     model = ReidModel(CFG, seed=3)
     rng = np.random.default_rng(14)
-    f_q = rng.uniform(size=(3, 2, 2))
-    f_n = rng.uniform(size=(3, 2, 2))
-    art_q = build_cam_artifacts(f_q, 0, model)
-    art_n = build_cam_artifacts(f_n, 1, model)
-    pseudo = build_pseudo_gt(f_q, f_n, art_q, art_n)
+    f_q = rng.uniform(size=(1, 3, 2, 2))
+    f_n = rng.uniform(size=(1, 3, 2, 2))
+    cam_q = model.cam_maps(f_q, np.array([0]))
+    cam_n = model.cam_maps(f_n, np.array([1]))
+    id_from_query, id_from_negative = build_pseudo_gt_batch(f_q, f_n, cam_q, cam_n)
     path = tmp_path / "debug.csv"
-    write_cam_debug_csv(path, art_q, pseudo)
+    write_cam_debug_csv(path, cam_q[0], id_from_query[0], id_from_negative[0])
     text = path.read_text()
     for section in ("# cam", "# threshold", "# id_mask", "# app_mask",
                     "# id_from_query_channel_0", "# id_from_negative_channel_2"):
         assert section in text
+    lines = text.splitlines()
+    assert float(lines[lines.index("# threshold") + 1]) == cam_q[0].mean()
+    id_mask, _ = cam_masks(cam_q[0])
+    start = lines.index("# id_mask") + 1
+    rows = [[float(v) for v in line.split(",")] for line in lines[start:start + 2]]
+    np.testing.assert_array_equal(rows, id_mask)

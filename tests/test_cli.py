@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from sirmetric.blobio import read_archive, write_archive
 from sirmetric.cli import main
 from sirmetric.data import load_dataset
 
@@ -140,25 +141,69 @@ def test_missing_checkpoint_is_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("key", ["adam.t", "eval.alpha", "tensor.adam_v/cam.w"])
-def test_checkpoint_missing_key_is_error(tmp_path, capsys, key):
+def _trained_run(tmp_path, capsys):
+    """Train the tiny config and synthesize a matching dataset; returns
+    (checkpoint dir, dataset dir)."""
     config_path, out_dir = _write_config(tmp_path)
     assert main(["train", "--config", config_path]) == 0
     data_dir = str(tmp_path / "data")
     assert main(["synth", "--ids", "4", "--per-id", "5",
                  "--seed", "1", "--out", data_dir]) == 0
     capsys.readouterr()
-    ckpt = os.path.join(out_dir, "ckpt_final")
-    manifest = os.path.join(ckpt, "manifest.txt")
+    return os.path.join(out_dir, "ckpt_final"), data_dir
+
+
+def _edit_manifest(archive_dir, key, value=None):
+    """Drop the ``key=`` line, or set its value when ``value`` is given."""
+    manifest = os.path.join(archive_dir, "manifest.txt")
     lines = open(manifest).read().splitlines()
-    kept = [line for line in lines if not line.startswith(key + "=")]
-    assert len(kept) == len(lines) - 1
+    hits = [i for i, line in enumerate(lines) if line.startswith(key + "=")]
+    assert len(hits) == 1
+    if value is None:
+        del lines[hits[0]]
+    else:
+        lines[hits[0]] = f"{key}={value}"
     with open(manifest, "w") as handle:
-        handle.write("\n".join(kept) + "\n")
+        handle.write("\n".join(lines) + "\n")
+
+
+def _eval_error(ckpt, data_dir, capsys):
+    """Run eval, expect exit 1 and return the one-line error message."""
     assert main(["eval", "--ckpt", ckpt, "--data", data_dir]) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
-    assert ckpt in err
+    return err
+
+
+@pytest.mark.parametrize("key", ["adam.t", "eval.alpha", "tensor.adam_v/cam.w"])
+def test_checkpoint_missing_key_is_error(tmp_path, capsys, key):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    _edit_manifest(ckpt, key)
+    assert ckpt in _eval_error(ckpt, data_dir, capsys)
+
+
+@pytest.mark.parametrize("key", ["adam.t", "eval.alpha"])
+def test_checkpoint_bad_value_names_key(tmp_path, capsys, key):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    _edit_manifest(ckpt, key, "x")
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert ckpt in err and repr(key) in err
+
+
+def test_dataset_missing_key_is_error(tmp_path, capsys):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    _edit_manifest(data_dir, "seed")
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert data_dir in err and "'seed'" in err
+
+
+def test_dataset_index_out_of_range_is_error(tmp_path, capsys):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    meta, tensors = read_archive(data_dir)
+    tensors["query_idx"][0] = 10 ** 6
+    write_archive(data_dir, meta, tensors)
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert data_dir in err and "'query_idx'" in err
 
 
 def test_flip_flag_rejects_junk(capsys):

@@ -1,17 +1,114 @@
 """Config format round-trip and error behavior."""
 import pytest
 
+from sirmetric.autodiff import Adam
+from sirmetric.checkpoint import save_checkpoint
+from sirmetric.clusters import ClusterRegistry
 from sirmetric.config import (ConfigError, RunConfig, load_config,
                               parse_config, save_config, serialize_config,
                               with_overrides)
-from sirmetric.data import DatasetManifest
+from sirmetric.data import DatasetManifest, generate, save_dataset
 from sirmetric.losses import LossWeights
-from sirmetric.networks import NetworkConfig
+from sirmetric.networks import NetworkConfig, ReidModel
+
+# On-disk key text of the defaults, frozen: key names, key order and value
+# text are the file formats, so a schema change must not move them.
+DEFAULT_CONFIG_TEXT = """\
+net.image_shape=1,16,8
+net.feature_shape=8,4,2
+net.id_dim=16
+net.app_dim=4
+net.num_identities=10
+net.backbone_hidden=64
+net.separator_hidden=64
+net.generator_hidden=64
+net.id_dropout=0.1
+loss.id_weight=1.0
+loss.recon_weight=1.0
+loss.cls_weight=0.05
+loss.triplet_weight=1.0
+loss.center_weight=0.5
+loss.pos_recon_weight=0.0001
+loss.neg_recon_weight=0.0001
+loss.cam_weight=1.0
+loss.margin=0.9
+optim.learning_rate=0.0002
+optim.beta1=0.9
+optim.beta2=0.999
+optim.epsilon=1e-08
+train.batch_size=8
+train.epochs=20
+train.steps_per_epoch=100
+train.refresh_period_epochs=1
+train.grayscale_prob=0.1
+train.seed=0
+train.swap_negative_appearance=false
+data.path=
+data.num_identities=10
+data.samples_per_identity=20
+data.train_per_identity=12
+data.query_per_identity=4
+data.gallery_per_identity=4
+data.seed=0
+data.appearance_bands=6
+eval.alpha=0.55
+eval.flip=true
+out.dir=runs/default
+"""
+DEFAULT_DATASET_META = """\
+format=sir-metric/1
+kind=dataset
+num_identities=10
+samples_per_identity=20
+train_per_identity=12
+query_per_identity=4
+gallery_per_identity=4
+seed=0
+image_shape=1,16,8
+appearance_bands=6
+"""
+DEFAULT_CHECKPOINT_META = """\
+format=sir-metric/1
+kind=checkpoint
+step=0
+adam.t=0
+adam.learning_rate=0.0002
+adam.beta1=0.9
+adam.beta2=0.999
+adam.epsilon=1e-08
+registry.refresh_period_epochs=1
+registry.last_refresh_epoch=none
+net.image_shape=1,16,8
+net.feature_shape=8,4,2
+net.id_dim=16
+net.app_dim=4
+net.num_identities=10
+net.backbone_hidden=64
+net.separator_hidden=64
+net.generator_hidden=64
+net.id_dropout=0.1
+eval.alpha=0.55
+eval.flip=true
+"""
 
 
 def test_default_roundtrip():
     config = RunConfig()
     assert parse_config(serialize_config(config)) == config
+
+
+def _meta_text(archive_dir):
+    lines = (archive_dir / "manifest.txt").read_text().splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("tensor."))
+
+
+def test_on_disk_key_text_is_frozen(tmp_path):
+    assert serialize_config(RunConfig()) == DEFAULT_CONFIG_TEXT
+    save_dataset(generate(DatasetManifest()), tmp_path / "ds")
+    assert _meta_text(tmp_path / "ds") == DEFAULT_DATASET_META
+    model = ReidModel(NetworkConfig(), seed=0)
+    save_checkpoint(tmp_path / "ckpt", model, Adam(model.params), ClusterRegistry(1), 0)
+    assert _meta_text(tmp_path / "ckpt") == DEFAULT_CHECKPOINT_META
 
 
 def test_roundtrip_preserves_every_float_bit():

@@ -165,6 +165,32 @@ def test_dataset_archive_roundtrip(tmp_path):
     assert loaded.manifest == ds.manifest
 
 
+def _first_set_to(value):
+    def edit(values):
+        values = values.copy()
+        values[0] = value
+        return values
+    return edit
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("query_idx", _first_set_to(10 ** 6)),
+    ("gallery_idx", _first_set_to(-1)),
+    ("train_idx", _first_set_to(0.5)),
+    ("labels", _first_set_to(np.nan)),
+    ("train_idx", lambda values: values.reshape(-1, 2)),
+    ("labels", lambda values: values[:-1]),
+])
+def test_load_dataset_rejects_bad_index_tensors(tmp_path, name, edit):
+    save_dataset(generate(DatasetManifest()), tmp_path / "ds")
+    meta, tensors = read_archive(tmp_path / "ds")
+    tensors[name] = edit(tensors[name])
+    write_archive(tmp_path / "ds", meta, tensors)
+    with pytest.raises(ArchiveError) as info:
+        load_dataset(tmp_path / "ds")
+    assert repr(name) in str(info.value) and str(tmp_path / "ds") in str(info.value)
+
+
 def test_archive_format_checks(tmp_path):
     write_archive(tmp_path / "a", {"kind": "dataset"}, {"x": np.arange(3.0)})
     meta, tensors = read_archive(tmp_path / "a")
