@@ -118,7 +118,8 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
 
 def read_archive(dir_path):
     """Read manifest + blob back into (meta, tensors), both Entries: meta
-    maps keys to value text, tensors map names to float64 arrays."""
+    maps keys to value text, tensors map names to float64 arrays.  The
+    tensor extents must end exactly at the end of the blob."""
     manifest_path = os.path.join(dir_path, MANIFEST_NAME)
     blob_path = os.path.join(dir_path, BLOB_NAME)
     if not os.path.isfile(manifest_path):
@@ -147,11 +148,16 @@ def read_archive(dir_path):
     with open(blob_path, "rb") as handle:
         blob = handle.read()
     tensors = {}
+    blob_end = 0
     for name, shape, offset in entries:
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
         if end > len(blob):
-            raise ArchiveError(f"tensor {name!r} overruns the blob "
+            raise ArchiveError(f"archive {dir_path}: tensor {name!r} overruns the blob "
                                f"({end} > {len(blob)} bytes)")
         tensors[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
+        blob_end = max(blob_end, end)
+    if blob_end != len(blob):
+        raise ArchiveError(f"archive {dir_path}: the tensors end at byte {blob_end} "
+                           f"of a {len(blob)}-byte blob")
     return Entries(meta, dir_path), Entries(tensors, dir_path)

@@ -10,7 +10,7 @@ NetworkConfig field table.
 from __future__ import annotations
 
 from .autodiff import Adam
-from .blobio import field_table, read_archive, write_archive
+from .blobio import ArchiveError, field_table, read_archive, write_archive
 from .clusters import ClusterRegistry
 from .networks import NetworkConfig, ReidModel
 
@@ -49,26 +49,27 @@ def save_checkpoint(dir_path, model: ReidModel, optimizer: Adam,
 def load_checkpoint(dir_path):
     """Rebuild (model, optimizer, registry, meta) from a checkpoint
     directory.  Parameter values, Adam moments and step count, and cluster
-    centers are restored bit-exactly.  A missing or unparsable entry raises
-    ArchiveError naming the key and the directory."""
+    centers are restored bit-exactly.  A missing or unparsable entry, or a
+    parameter or Adam moment whose shape disagrees with the net.* keys,
+    raises ArchiveError naming the key or tensor and the directory."""
     meta, tensors = read_archive(dir_path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"archive at {dir_path} is not a checkpoint "
                          f"(kind={meta.get('kind')!r})")
     model = ReidModel(NetworkConfig(**meta.decode_fields(_NET_TABLE)), seed=0)
-    for name, param in model.params.items():
-        stored = tensors[f"param/{name}"]
-        if stored.shape != param.data.shape:
-            raise ValueError(f"parameter {name!r} has shape {stored.shape}, "
-                             f"expected {param.data.shape}")
-        param.data = stored
     optimizer = Adam(model.params,
                      lr=meta.parse("adam.learning_rate", float),
                      beta1=meta.parse("adam.beta1", float),
                      beta2=meta.parse("adam.beta2", float),
                      epsilon=meta.parse("adam.epsilon", float))
     optimizer.t = meta.parse("adam.t", int)
-    for name in model.params:
+    for name, param in model.params.items():
+        for kind in ("param", "adam_m", "adam_v"):
+            stored = tensors[f"{kind}/{name}"]
+            if stored.shape != param.data.shape:
+                raise ArchiveError(f"archive {dir_path}: tensor '{kind}/{name}' has shape "
+                                   f"{stored.shape}, but the net.* keys give {param.data.shape}")
+        param.data = tensors[f"param/{name}"]
         optimizer.m[name] = tensors[f"adam_m/{name}"]
         optimizer.v[name] = tensors[f"adam_v/{name}"]
     registry = ClusterRegistry(meta.parse("registry.refresh_period_epochs", int))

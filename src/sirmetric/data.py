@@ -4,7 +4,9 @@ and background stand-in) for every sample, so matching across samples only
 works through the identity band.
 
 Also hosts the random triplet sampler and the image transforms used in
-training and evaluation.
+training and evaluation.  The data path is batch-first: ``generate``
+renders every image from one uniform draw, and ``to_grayscale`` converts a
+single image or a whole batch in one call.
 """
 from __future__ import annotations
 
@@ -63,16 +65,6 @@ class DatasetManifest:
 
 
 @dataclass
-class SyntheticPerson:
-    """One identity: a fixed signature for the face band plus one appearance
-    vector per sample."""
-
-    identity: int
-    signature: np.ndarray       # (C, identity_rows, W)
-    appearances: np.ndarray     # (samples, C, appearance_bands)
-
-
-@dataclass
 class Dataset:
     images: np.ndarray          # (N, C, H, W), values in [0, 1]
     labels: np.ndarray          # (N,) int
@@ -80,68 +72,35 @@ class Dataset:
     query_idx: np.ndarray
     gallery_idx: np.ndarray
     manifest: DatasetManifest
-    _train_by_identity: dict = field(default_factory=dict, repr=False)
     _sampler_cache: dict = field(default_factory=dict, repr=False)
-
-    def train_indices_by_identity(self) -> dict:
-        if not self._train_by_identity:
-            for idx in self.train_idx:
-                self._train_by_identity.setdefault(int(self.labels[idx]), []).append(int(idx))
-        return self._train_by_identity
-
-
-def render_sample(manifest: DatasetManifest, signature: np.ndarray,
-                  appearance: np.ndarray) -> np.ndarray:
-    """Compose one image: signature pixels on top, constant horizontal
-    bands from the appearance vector below."""
-    channels, height, width = manifest.image_shape
-    image = np.empty((channels, height, width))
-    rows = manifest.identity_rows
-    image[:, :rows, :] = signature
-    for band in range(manifest.appearance_bands):
-        start = rows + band * manifest.band_rows
-        stop = start + manifest.band_rows
-        image[:, start:stop, :] = appearance[:, band, None, None]
-    return image
-
-
-def synthesize_people(manifest: DatasetManifest) -> list:
-    """Draw every identity's signature and per-sample appearance vectors."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(manifest.seed), 2)))
-    channels, _, width = manifest.image_shape
-    people = []
-    for identity in range(manifest.num_identities):
-        signature = rng.uniform(size=(channels, manifest.identity_rows, width))
-        appearances = rng.uniform(
-            size=(manifest.samples_per_identity, channels, manifest.appearance_bands))
-        people.append(SyntheticPerson(identity, signature, appearances))
-    return people
 
 
 def generate(manifest: DatasetManifest) -> Dataset:
     """Render the full dataset with its per-identity train/query/gallery
-    split, deterministically from the manifest."""
-    people = synthesize_people(manifest)
+    split, deterministically from the manifest.
+
+    One uniform draw with a row per identity: its (C, identity_rows, W)
+    signature, then one (C, appearance_bands) vector per sample.  Sample j
+    of identity i is image i * samples_per_identity + j: the signature on
+    top, each appearance value widened into a constant band below.
+    """
     channels, height, width = manifest.image_shape
-    total = manifest.num_identities * manifest.samples_per_identity
-    images = np.empty((total, channels, height, width))
-    labels = np.empty(total, dtype=np.int64)
-    train, query, gallery = [], [], []
-    cursor = 0
-    for person in people:
-        for j in range(manifest.samples_per_identity):
-            images[cursor] = render_sample(manifest, person.signature,
-                                           person.appearances[j])
-            labels[cursor] = person.identity
-            if j < manifest.train_per_identity:
-                train.append(cursor)
-            elif j < manifest.train_per_identity + manifest.query_per_identity:
-                query.append(cursor)
-            else:
-                gallery.append(cursor)
-            cursor += 1
-    return Dataset(images, labels, np.array(train), np.array(query),
-                   np.array(gallery), manifest)
+    ids, per_id = manifest.num_identities, manifest.samples_per_identity
+    rows, bands = manifest.identity_rows, manifest.appearance_bands
+    signature_size = channels * rows * width
+    rng = np.random.default_rng(np.random.SeedSequence((int(manifest.seed), 2)))
+    draws = rng.uniform(size=(ids, signature_size + per_id * channels * bands))
+    images = np.empty((ids, per_id, channels, height, width))
+    images[:, :, :, :rows] = draws[:, :signature_size].reshape(ids, 1, channels, rows, width)
+    appearances = draws[:, signature_size:].reshape(ids, per_id, channels, bands)
+    images[:, :, :, rows:] = np.repeat(appearances, manifest.band_rows, axis=-1)[..., None]
+    total = ids * per_id
+    split = np.digitize(np.arange(total) % per_id,
+                        [manifest.train_per_identity,
+                         manifest.train_per_identity + manifest.query_per_identity])
+    train, query, gallery = (np.flatnonzero(split == part) for part in range(3))
+    return Dataset(images.reshape(total, channels, height, width),
+                   np.arange(total) // per_id, train, query, gallery, manifest)
 
 
 def sample_triplet(dataset: Dataset, rng) -> tuple:
@@ -153,7 +112,10 @@ def sample_triplet(dataset: Dataset, rng) -> tuple:
     """
     cache = dataset._sampler_cache
     if not cache:
-        by_id = dataset.train_indices_by_identity()
+        by_id = {}
+        for idx in dataset.train_idx:
+            by_id.setdefault(int(dataset.labels[idx]), []).append(int(idx))
+        cache["by_id"] = by_id
         cache["eligible"] = [idx for ident, idxs in sorted(by_id.items())
                              if len(idxs) >= 2 for idx in idxs]
         cache["others"] = {ident: [int(i) for i in dataset.train_idx
@@ -164,7 +126,7 @@ def sample_triplet(dataset: Dataset, rng) -> tuple:
         raise ValueError("no identity has >= 2 train samples")
     q_idx = eligible[int(rng.integers(len(eligible)))]
     identity = int(dataset.labels[q_idx])
-    same = [i for i in dataset.train_indices_by_identity()[identity] if i != q_idx]
+    same = [i for i in cache["by_id"][identity] if i != q_idx]
     p_idx = same[int(rng.integers(len(same)))]
     others = cache["others"][identity]
     if not others:
@@ -173,17 +135,17 @@ def sample_triplet(dataset: Dataset, rng) -> tuple:
     return q_idx, p_idx, n_idx
 
 
-def to_grayscale(image: np.ndarray) -> np.ndarray:
-    """(3, H, W) -> (1, H, W) luminance; single-channel input passes
-    through unchanged."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
-        raise ValueError(f"expected (C, H, W), got {image.shape}")
-    if image.shape[0] == 1:
-        return image.copy()
-    if image.shape[0] == 3:
-        return np.einsum("c,chw->hw", LUMA_WEIGHTS, image)[None]
-    raise ValueError(f"grayscale conversion needs 1 or 3 channels, got {image.shape[0]}")
+def to_grayscale(images: np.ndarray) -> np.ndarray:
+    """(..., 3, H, W) -> (..., 1, H, W) luminance, for one image or any
+    batch; single-channel input passes through unchanged."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim < 3:
+        raise ValueError(f"expected (..., C, H, W), got {images.shape}")
+    if images.shape[-3] == 1:
+        return images.copy()
+    if images.shape[-3] == 3:
+        return np.einsum("c,...chw->...hw", LUMA_WEIGHTS, images)[..., None, :, :]
+    raise ValueError(f"grayscale conversion needs 1 or 3 channels, got {images.shape[-3]}")
 
 
 def horizontal_flip(image: np.ndarray) -> np.ndarray:
@@ -196,12 +158,9 @@ def randomly_grayscale(images: np.ndarray, rng, probability: float = 0.1):
     replicated across channels.  Returns (images, applied mask).  Always
     consumes exactly one uniform draw per image."""
     images = np.asarray(images, dtype=np.float64)
-    coins = rng.random(images.shape[0])
-    applied = coins < probability
+    applied = rng.random(images.shape[0]) < probability
     out = images.copy()
-    for i in np.flatnonzero(applied):
-        gray = to_grayscale(images[i])
-        out[i] = np.broadcast_to(gray, images[i].shape)
+    out[applied] = to_grayscale(images[applied])
     return out, applied
 
 
@@ -217,23 +176,33 @@ def save_dataset(dataset: Dataset, dir_path) -> None:
 
 
 def load_dataset(dir_path) -> Dataset:
-    """Read a dataset archive.  Labels and the three split index tensors
-    must be 1-D and integral, with labels one per image and every index in
-    [0, number of images); otherwise ArchiveError names the tensor."""
+    """Read a dataset archive.  Images must be (num_identities *
+    samples_per_identity,) + image_shape; labels and the three split index
+    tensors must be 1-D and integral, with labels one per image in
+    [0, num_identities) and every index in [0, number of images); otherwise
+    ArchiveError names the tensor and the directory."""
     meta, tensors = read_archive(dir_path)
     if meta.get("kind") != "dataset":
         raise ValueError(f"archive at {dir_path} is not a dataset "
                          f"(kind={meta.get('kind')!r})")
     manifest = DatasetManifest(**meta.decode_fields(_MANIFEST_TABLE))
     images = tensors["images"]
+    expected = (manifest.num_identities * manifest.samples_per_identity,) + manifest.image_shape
+    if images.shape != expected:
+        raise ArchiveError(f"archive {dir_path}: tensor 'images' has shape {images.shape}, "
+                           f"the manifest gives {expected}")
     arrays = {}
     for name in _INT_TENSORS:
         values = tensors[name]
         if values.ndim != 1 or not np.all(np.isfinite(values) & (values == np.floor(values))):
             raise ArchiveError(f"archive {dir_path}: tensor {name!r} is not 1-D integral")
         arrays[name] = values.astype(np.int64)
-    if len(arrays["labels"]) != len(images):
+    labels = arrays["labels"]
+    if len(labels) != len(images):
         raise ArchiveError(f"archive {dir_path}: tensor 'labels' is not one per image")
+    if np.any((labels < 0) | (labels >= manifest.num_identities)):
+        raise ArchiveError(f"archive {dir_path}: tensor 'labels' lies outside "
+                           f"[0, {manifest.num_identities})")
     for name in _INT_TENSORS[1:]:
         if np.any((arrays[name] < 0) | (arrays[name] >= len(images))):
             raise ArchiveError(f"archive {dir_path}: tensor {name!r} indexes outside "

@@ -124,9 +124,8 @@ def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
     labels = np.asarray(labels)
     if np.any(labels < 0) or np.any(labels >= centers.shape[0]):
         raise ValueError("a present label has no center")
-    dist = _pairwise_sq_dist(id_feat, centers)
-    own = ad.tensor_sum(ad.mask_mul(dist, _one_hot(labels, centers.shape[0])), axis=1)
-    return (own + _log_sum_exp_rows(-dist)).mean()
+    # cross-entropy over logits -d: mean(d_own + logsumexp(-d))
+    return classification_loss(-_pairwise_sq_dist(id_feat, centers), labels)
 
 
 def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -145,6 +144,19 @@ def cam_classification_loss(cam_logits: Tensor, labels: np.ndarray) -> Tensor:
     return classification_loss(cam_logits, labels)
 
 
+def _l1_terms(outputs, targets, what: str) -> Tensor:
+    """Sum over (output, target) pairs of mean |output - target|; targets
+    are constants."""
+    total = None
+    for output, target in zip(outputs, targets):
+        target = np.asarray(target, dtype=np.float64)
+        if output.shape != target.shape:
+            raise ShapeError(f"{what} {output.shape} vs target {target.shape}")
+        term = (output - target).abs().mean()
+        total = term if total is None else total + term
+    return total
+
+
 def positive_recon_loss(aug_images, gray_query: np.ndarray,
                         gray_positive: np.ndarray) -> Tensor:
     """Sum of three mean-absolute-error terms between generator images and
@@ -156,15 +168,7 @@ def positive_recon_loss(aug_images, gray_query: np.ndarray,
     """
     if len(aug_images) != 3:
         raise ValueError("expected the three augmented images")
-    targets = (gray_query, gray_positive, gray_query)
-    total = None
-    for image, target in zip(aug_images, targets):
-        target = np.asarray(target, dtype=np.float64)
-        if image.shape != target.shape:
-            raise ShapeError(f"image {image.shape} vs target {target.shape}")
-        term = (image - target).abs().mean()
-        total = term if total is None else total + term
-    return total
+    return _l1_terms(aug_images, (gray_query, gray_positive, gray_query), "image")
 
 
 def negative_recon_loss(aug_taps, pseudo_from_query: np.ndarray,
@@ -178,14 +182,7 @@ def negative_recon_loss(aug_taps, pseudo_from_query: np.ndarray,
     """
     if len(aug_taps) != 2:
         raise ValueError("expected the two augmented feature taps")
-    total = None
-    for tap, target in zip(aug_taps, (pseudo_from_query, pseudo_from_negative)):
-        target = np.asarray(target, dtype=np.float64)
-        if tap.shape != target.shape:
-            raise ShapeError(f"feature tap {tap.shape} vs target {target.shape}")
-        term = (tap - target).abs().mean()
-        total = term if total is None else total + term
-    return total
+    return _l1_terms(aug_taps, (pseudo_from_query, pseudo_from_negative), "feature tap")
 
 
 def total_loss(cls_term: Tensor, triplet_term: Tensor, center_term: Tensor,

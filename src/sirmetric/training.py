@@ -78,13 +78,20 @@ class Trainer:
     def run(self, save_checkpoints: bool = True) -> list:
         """Train to epochs * steps_per_epoch total steps (continuing from
         the current step), logging losses and writing per-epoch
-        checkpoints under the configured output directory."""
+        checkpoints under the configured output directory.  A run that
+        starts past step 0 keeps the rows of an existing loss log that
+        precede its step and appends after them."""
         cfg = self.config
         total_steps = cfg.epochs * cfg.steps_per_epoch
         os.makedirs(cfg.out_dir, exist_ok=True)
         log_path = os.path.join(cfg.out_dir, "loss_log.csv")
+        kept = []
+        if self.step > 0 and os.path.exists(log_path):
+            kept = [row for row in read_loss_log(log_path) if row[0] < self.step]
         with open(log_path, "w") as log:
             log.write(LOG_HEADER + "\n")
+            for row in kept:
+                log.write(self._format_row(row) + "\n")
             while self.step < total_steps:
                 if self.step % cfg.steps_per_epoch == 0:
                     epoch = self.step // cfg.steps_per_epoch
@@ -146,10 +153,9 @@ class Trainer:
         cls = classification_loss(self.model.classifier_forward(emb_q), y_q)
         cam = cam_classification_loss(self.model.cam_logits(features[rows]), y_q)
 
-        gray_q = np.stack([to_grayscale(img) for img in images[:size]])
-        gray_p = np.stack([to_grayscale(img) for img in images[size:2 * size]])
+        gray = to_grayscale(images[:2 * size])
         pos = positive_recon_loss(augment_positive(emb_q, emb_p, self.model),
-                                  gray_q, gray_p)
+                                  gray[:size], gray[size:])
 
         feature_values = features.data
         f_q = feature_values[:size]

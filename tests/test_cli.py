@@ -190,6 +190,22 @@ def test_checkpoint_bad_value_names_key(tmp_path, capsys, key):
     assert ckpt in err and repr(key) in err
 
 
+def test_checkpoint_param_shape_mismatch_names_tensor(tmp_path, capsys):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    _edit_manifest(ckpt, "net.id_dim", "5")
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert ckpt in err and "'param/separator.w_id'" in err and "net.*" in err
+
+
+def test_checkpoint_adam_moment_shape_mismatch_names_tensor(tmp_path, capsys):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    meta, tensors = read_archive(ckpt)
+    tensors["adam_m/cam.w"] = np.zeros(1)
+    write_archive(ckpt, meta, tensors)
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert ckpt in err and "'adam_m/cam.w'" in err
+
+
 def test_dataset_missing_key_is_error(tmp_path, capsys):
     ckpt, data_dir = _trained_run(tmp_path, capsys)
     _edit_manifest(data_dir, "seed")
@@ -204,6 +220,27 @@ def test_dataset_index_out_of_range_is_error(tmp_path, capsys):
     write_archive(data_dir, meta, tensors)
     err = _eval_error(ckpt, data_dir, capsys)
     assert data_dir in err and "'query_idx'" in err
+
+
+def test_dataset_trailing_blob_bytes_is_error(tmp_path, capsys):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    with open(os.path.join(data_dir, "data.blob"), "ab") as blob:
+        blob.write(bytes(16))
+    assert data_dir in _eval_error(ckpt, data_dir, capsys)
+
+
+@pytest.mark.parametrize("name", ["images", "labels"])
+def test_dataset_disagreeing_with_manifest_is_error(tmp_path, capsys, name):
+    """One image too few, or a label equal to the manifest's 4 identities."""
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    meta, tensors = read_archive(data_dir)
+    if name == "images":
+        tensors["images"] = tensors["images"][:-1]
+    else:
+        tensors["labels"][0] = 4
+    write_archive(data_dir, meta, tensors)
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert data_dir in err and repr(name) in err
 
 
 def test_flip_flag_rejects_junk(capsys):

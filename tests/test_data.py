@@ -53,6 +53,51 @@ def test_appearance_bands_are_constant_rows():
         assert np.ptp(chunk) == 0.0
 
 
+def _generate_oracle(manifest):
+    """Per-sample reference renderer: per-identity draws in the order
+    signature, then appearances; each image painted band by band."""
+    rng = np.random.default_rng(np.random.SeedSequence((manifest.seed, 2)))
+    channels, height, width = manifest.image_shape
+    rows = manifest.identity_rows
+    images, labels, train, query, gallery = [], [], [], [], []
+    for identity in range(manifest.num_identities):
+        signature = rng.uniform(size=(channels, rows, width))
+        appearances = rng.uniform(
+            size=(manifest.samples_per_identity, channels, manifest.appearance_bands))
+        for j, appearance in enumerate(appearances):
+            image = np.empty((channels, height, width))
+            image[:, :rows, :] = signature
+            for band in range(manifest.appearance_bands):
+                start = rows + band * manifest.band_rows
+                image[:, start:start + manifest.band_rows, :] = appearance[:, band, None, None]
+            if j < manifest.train_per_identity:
+                split = train
+            elif j < manifest.train_per_identity + manifest.query_per_identity:
+                split = query
+            else:
+                split = gallery
+            split.append(len(images))
+            images.append(image)
+            labels.append(identity)
+    return np.stack(images), np.array(labels), train, query, gallery
+
+
+@pytest.mark.parametrize("manifest", [
+    DatasetManifest(),
+    DatasetManifest(num_identities=12, image_shape=(3, 16, 8), seed=7),
+    DatasetManifest(num_identities=5, image_shape=(2, 20, 3), appearance_bands=3, seed=3),
+    DatasetManifest(num_identities=3, samples_per_identity=6, train_per_identity=4,
+                    query_per_identity=0, gallery_per_identity=2, seed=9),
+])
+def test_generate_matches_per_sample_oracle(manifest):
+    ds = generate(manifest)
+    images, labels, train, query, gallery = _generate_oracle(manifest)
+    assert np.array_equal(ds.images, images)
+    assert np.array_equal(ds.labels, labels)
+    for got, want in ((ds.train_idx, train), (ds.query_idx, query), (ds.gallery_idx, gallery)):
+        assert np.array_equal(got, want) and got.ndim == 1
+
+
 def test_labels_and_split_structure():
     manifest = DatasetManifest()
     ds = generate(manifest)
@@ -119,6 +164,12 @@ def test_grayscale_luminance_values():
     np.testing.assert_array_equal(to_grayscale(single), single)
     with pytest.raises(ValueError):
         to_grayscale(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        to_grayscale(np.zeros((3, 2)))
+    batch = np.random.default_rng(3).uniform(size=(5, 3, 4, 2))
+    per_image = np.stack([to_grayscale(image) for image in batch])
+    assert to_grayscale(batch).shape == (5, 1, 4, 2)
+    assert to_grayscale(batch).tobytes() == per_image.tobytes()
 
 
 def test_flip_is_involution():
@@ -139,8 +190,10 @@ def test_randomly_grayscale_frequency_and_effect():
     assert 0.07 <= rate <= 0.13
     hit = np.flatnonzero(applied)[0]
     np.testing.assert_allclose(out[hit][0], out[hit][1], rtol=0, atol=1e-15)
-    miss = np.flatnonzero(~applied)[0]
-    np.testing.assert_array_equal(out[miss], images[miss])
+    for index in np.flatnonzero(applied):
+        expected = np.broadcast_to(to_grayscale(images[index]), images[index].shape)
+        assert np.array_equal(out[index], expected)
+    np.testing.assert_array_equal(out[~applied], images[~applied])
 
 
 def test_randomly_grayscale_consumes_fixed_draws():
@@ -191,6 +244,15 @@ def test_load_dataset_rejects_bad_index_tensors(tmp_path, name, edit):
     assert repr(name) in str(info.value) and str(tmp_path / "ds") in str(info.value)
 
 
+@pytest.mark.parametrize("name,edit", [
+    ("labels", _first_set_to(10)),
+    ("images", lambda values: values[:-1]),
+    ("images", lambda values: values.reshape(-1, 16, 8)),
+], ids=["label-out-of-range", "image-missing", "images-3d"])
+def test_load_dataset_rejects_tensors_disagreeing_with_manifest(tmp_path, name, edit):
+    test_load_dataset_rejects_bad_index_tensors(tmp_path, name, edit)
+
+
 def test_archive_format_checks(tmp_path):
     write_archive(tmp_path / "a", {"kind": "dataset"}, {"x": np.arange(3.0)})
     meta, tensors = read_archive(tmp_path / "a")
@@ -214,3 +276,16 @@ def test_archive_rejects_blob_overrun(tmp_path):
     blob.write_bytes(blob.read_bytes()[:16])
     with pytest.raises(ArchiveError):
         read_archive(tmp_path / "a")
+
+
+def test_archive_rejects_trailing_blob_bytes(tmp_path):
+    write_archive(tmp_path / "a", {}, {"x": np.arange(4.0), "y": np.ones((2, 2))})
+    blob = tmp_path / "a" / "data.blob"
+    blob.write_bytes(blob.read_bytes() + bytes(8))
+    with pytest.raises(ArchiveError) as info:
+        read_archive(tmp_path / "a")
+    assert str(tmp_path / "a") in str(info.value)
+    write_archive(tmp_path / "empty", {}, {})
+    (tmp_path / "empty" / "data.blob").write_bytes(bytes(1))
+    with pytest.raises(ArchiveError):
+        read_archive(tmp_path / "empty")

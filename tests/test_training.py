@@ -122,6 +122,19 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         assert row_a == row_b
 
 
+def test_resume_in_same_dir_keeps_loss_log(tmp_path):
+    Trainer(_tiny_config(tmp_path / "full", seed=11)).run()
+    expected = (tmp_path / "full" / "run" / "loss_log.csv").read_bytes()
+
+    Trainer(_tiny_config(tmp_path, seed=11, epochs=1)).run()
+    config = _tiny_config(tmp_path, seed=11)
+    Trainer.from_checkpoint(tmp_path / "run" / "ckpt_final", config).run()
+    assert (tmp_path / "run" / "loss_log.csv").read_bytes() == expected
+    # resuming from an earlier checkpoint drops the log rows after it
+    Trainer.from_checkpoint(tmp_path / "run" / "ckpt_step_3", config).run()
+    assert (tmp_path / "run" / "loss_log.csv").read_bytes() == expected
+
+
 def test_trainer_epoch_refresh_schedule(tmp_path):
     config = _tiny_config(tmp_path, epochs=3, refresh_period_epochs=2)
     trainer = Trainer(config)
