@@ -4,9 +4,11 @@ A ``Tensor`` wraps a numpy buffer; applying an operation records a backward
 closure on the result, so the computation graph doubles as the tape.
 ``backward()`` on a scalar walks that graph once in reverse topological
 order and accumulates gradients into every reachable tensor that asked for
-them.  The module also provides the Adam optimizer and a central
-finite-difference gradient checker used to verify every loss in this
-package.
+them.  Fused ops (dense layers and the loss kernels) record one node for a
+whole primitive chain, with the chain's exact arithmetic.  The module also
+provides the Adam optimizer, which owns the parameter storage, and a
+central finite-difference gradient checker used to verify every loss in
+this package.
 
 All math is float64.  The graph is single-use: run a fresh forward pass for
 every training step.  Tensors that do not require grad are plain immutable
@@ -95,9 +97,8 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        # never in place: a stored gradient may be another node's array
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable tensor
@@ -113,14 +114,12 @@ class Tensor:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+            elif node not in seen:  # tensors hash by identity
+                seen.add(node)
+                stack.append((node, True))
+                for parent in node._parents:
+                    if parent not in seen:
+                        stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._rule is not None and node.grad is not None:
@@ -159,20 +158,8 @@ class Tensor:
     def square(self):
         return square(self)
 
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
     def relu(self):
         return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def abs(self):
-        return absolute(self)
 
     def sum(self, axis=None):
         return tensor_sum(self, axis)
@@ -195,7 +182,11 @@ def _node(data: np.ndarray, parents: tuple, rule) -> Tensor:
 
 
 def _recording(*tensors: Tensor) -> bool:
-    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+    if _GRAD_ENABLED:
+        for t in tensors:
+            if t.requires_grad:
+                return True
+    return False
 
 
 # ---- elementwise arithmetic ---------------------------------------------
@@ -328,6 +319,16 @@ def log(a) -> Tensor:
     return _node(data, (a,), rule)
 
 
+def relu_grad(g: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Relu backward, shared by every op that applies a relu."""
+    return g * active
+
+
+def sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sigmoid backward from its output, shared by every op that applies one."""
+    return g * out * (1.0 - out)
+
+
 def relu(a) -> Tensor:
     a = _coerce(a)
     data = np.maximum(a.data, 0.0)
@@ -336,7 +337,7 @@ def relu(a) -> Tensor:
     active = a.data > 0.0  # subgradient at the kink is 0
 
     def rule(g):
-        a._accumulate(g * active)
+        a._accumulate(relu_grad(g, active))
 
     return _node(data, (a,), rule)
 
@@ -348,7 +349,7 @@ def sigmoid(a) -> Tensor:
         return Tensor(data)
 
     def rule(g):
-        a._accumulate(g * data * (1.0 - data))
+        a._accumulate(sigmoid_grad(g, data))
 
     return _node(data, (a,), rule)
 
@@ -449,16 +450,26 @@ def reshape(a, shape) -> Tensor:
     return _node(data, (a,), rule)
 
 
+def _is_basic(index) -> bool:
+    """A basic index (ints and slices) selects each element at most once."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(part, (slice, int)) for part in parts)
+
+
 def take(a, index) -> Tensor:
-    """Basic slicing/indexing with scatter-add backward."""
+    """Slicing/indexing; the backward scatters, adding at repeated indices."""
     a = _coerce(a)
     data = a.data[index]
     if not _recording(a):
         return Tensor(np.array(data))
+    basic = _is_basic(index)
 
     def rule(g):
         grad = np.zeros_like(a.data)
-        np.add.at(grad, index, g)
+        if basic:
+            grad[index] = g
+        else:
+            np.add.at(grad, index, g)
         a._accumulate(grad)
 
     return _node(np.array(data), (a,), rule)
@@ -469,7 +480,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not (_GRAD_ENABLED and any(t.requires_grad for t in tensors)):
+    if not _recording(*tensors):
         return Tensor(data)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -484,14 +495,121 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _node(data, tuple(tensors), rule)
 
 
+# ---- fused ops -------------------------------------------------------------
+#
+# Each is one node standing for a chain of the primitives above.  Forward
+# and backward evaluate the chain's numpy expressions in the chain's order,
+# and a parent receives its contributions in the order the chain would add
+# them, so values and gradients are bitwise those of the chain.
+
+
+def dense(x, w, b, act: str = "none") -> Tensor:
+    """act(x @ w + b) for act in none, relu, sigmoid."""
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ShapeError(f"dense: incompatible shapes {x.data.shape}, {w.data.shape}, "
+                         f"{b.data.shape}")
+    z = x.data @ w.data + b.data
+    if act == "relu":
+        data = np.maximum(z, 0.0)
+        active = z > 0.0
+    elif act == "sigmoid":
+        data = 1.0 / (1.0 + np.exp(-z))
+    elif act == "none":
+        data = z
+    else:
+        raise ValueError(f"dense: unknown activation {act!r}")
+    if not _recording(x, w, b):
+        return Tensor(data)
+
+    def rule(g):
+        if act == "relu":
+            g = relu_grad(g, active)
+        elif act == "sigmoid":
+            g = sigmoid_grad(g, data)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+
+    return _node(data, (x, w, b), rule)
+
+
+def cross_entropy(logits, target) -> Tensor:
+    """Mean over rows of logsumexp(logits) - sum(target * logits); the
+    logsumexp subtracts a detached row max, and ``target`` (one-hot rows) is a
+    constant."""
+    logits = _coerce(logits)
+    target = np.asarray(target, dtype=np.float64)
+    z = logits.data
+    if z.ndim != 2 or target.shape != z.shape:
+        raise ShapeError(f"cross_entropy: logits {z.shape} vs target {target.shape}")
+    shift = z.max(axis=1, keepdims=True)
+    exps = np.exp(z - shift)
+    summed = exps.sum(axis=1)
+    data = (np.log(summed) + shift.reshape(-1) - (z * target).sum(axis=1)).mean()
+    if not _recording(logits):
+        return Tensor(data)
+
+    def rule(g):
+        g_rows = np.full(summed.shape, g / summed.size)
+        logits._accumulate(exps * (g_rows / summed)[:, None])
+        logits._accumulate((-g_rows)[:, None] * target)
+
+    return _node(data, (logits,), rule)
+
+
+def mean_abs_error(a, target) -> Tensor:
+    """mean(|a - target|) with a constant ``target``."""
+    a = _coerce(a)
+    diff = a.data - np.asarray(target, dtype=np.float64)
+    data = np.abs(diff).mean()
+    if not _recording(a):
+        return Tensor(data)
+
+    def rule(g):
+        a._accumulate(np.full(diff.shape, g / diff.size) * np.sign(diff))
+
+    return _node(data, (a,), rule)
+
+
+def triplet_hinge(q, p, n, margin: float) -> Tensor:
+    """mean(relu(|q - p|^2 - |q - n|^2 + margin)) over rows of (B, d) inputs."""
+    q, p, n = _coerce(q), _coerce(p), _coerce(n)
+    diff_p = q.data - p.data
+    diff_n = q.data - n.data
+    hinge = (diff_p * diff_p).sum(axis=1) - (diff_n * diff_n).sum(axis=1) + margin
+    data = np.maximum(hinge, 0.0).mean()
+    if not _recording(q, p, n):
+        return Tensor(data)
+
+    def rule(g):
+        g_hinge = relu_grad(np.full(hinge.shape, g / hinge.size), hinge > 0.0)
+        grad_p = 2.0 * diff_p * g_hinge[:, None]
+        grad_n = 2.0 * diff_n * (-g_hinge)[:, None]
+        # the chain's order: (q - p) hands q then p its part, then (q - n)
+        for t, grad in ((q, grad_p), (p, -grad_p), (q, grad_n), (n, -grad_n)):
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    return _node(data, (q, p, n), rule)
+
+
 # ---- optimizer -----------------------------------------------------------
 
 
 class Adam:
     """Bias-corrected Adam over a fixed, named set of parameters.
 
-    ``step()`` applies the standard update and zeroes the gradients; it
-    raises if any parameter is missing a gradient.
+    The optimizer owns the storage: the parameters and both moments each
+    live in one flat float64 buffer, and every ``p.data``, ``m[name]`` and
+    ``v[name]`` is a view into it.  Assign new values with ``[...] =``;
+    rebinding ``p.data`` detaches the parameter from the optimizer.
+    ``step()`` updates all three buffers with whole-buffer ufuncs and clears
+    the gradients; it raises if any parameter is missing a gradient.
     """
 
     def __init__(self, params: dict, lr: float = 0.0002, beta1: float = 0.9,
@@ -504,8 +622,17 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._flat = np.concatenate([p.data.reshape(-1) for p in params.values()])
+        self._m, self._v = np.zeros((2,) + self._flat.shape)
+        self._scratch = None  # the flat gradient and one temporary, made by the first step
+        self.m, self.v = {}, {}
+        start = 0
+        for name, p in params.items():
+            stop = start + p.data.size
+            p.data = self._flat[start:stop].reshape(p.data.shape)
+            self.m[name] = self._m[start:stop].reshape(p.data.shape)
+            self.v[name] = self._v[start:stop].reshape(p.data.shape)
+            start = stop
 
     def step(self) -> None:
         for name, p in self.params.items():
@@ -514,15 +641,29 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+        if self._scratch is None:
+            self._scratch = np.empty((2,) + self._flat.shape)
+        (g, a), m, v = self._scratch, self._m, self._v
+        np.concatenate([p.grad.reshape(-1) for p in self.params.values()], out=g)
+        # elementwise the per-parameter update
+        #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+        #   p -= lr (m / bc1) / (sqrt(v / bc2) + epsilon)
+        # in the same operation order, so the bits match
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - self.beta2, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, bc1, out=a)
+        np.multiply(a, self.lr, out=a)
+        np.divide(v, bc2, out=g)  # g is spent; reuse it
+        np.sqrt(g, out=g)
+        np.add(g, self.epsilon, out=g)
+        np.divide(a, g, out=a)
+        np.subtract(self._flat, a, out=self._flat)
+        for p in self.params.values():
             p.grad = None
 
 

@@ -50,8 +50,7 @@ def augment_positive(emb_query: DisentangledEmbedding,
     ids = ad.concat([emb_positive.id_feat, emb_query.id_feat, emb_query.id_feat], axis=0)
     apps = ad.concat([emb_query.app_feat, emb_positive.app_feat, emb_query.app_feat], axis=0)
     _, images = model.generator_forward(ids, apps)
-    rows = np.arange(batch)
-    return images[rows], images[rows + batch], images[rows + 2 * batch]
+    return images[:batch], images[batch:2 * batch], images[2 * batch:]
 
 
 def augment_negative(emb_query: DisentangledEmbedding,
@@ -74,8 +73,7 @@ def augment_negative(emb_query: DisentangledEmbedding,
     ids = ad.concat([emb_query.id_feat, emb_negative.id_feat], axis=0)
     apps = ad.concat([emb_negative.app_feat, second_app], axis=0)
     taps, _ = model.generator_forward(ids, apps)
-    rows = np.arange(batch)
-    return taps[rows], taps[rows + batch]
+    return taps[:batch], taps[batch:]
 
 
 def write_cam_debug_csv(path, cam: np.ndarray, id_from_query: np.ndarray | None = None,

@@ -49,9 +49,11 @@ def save_checkpoint(dir_path, model: ReidModel, optimizer: Adam,
 def load_checkpoint(dir_path):
     """Rebuild (model, optimizer, registry, meta) from a checkpoint
     directory.  Parameter values, Adam moments and step count, and cluster
-    centers are restored bit-exactly.  A missing or unparsable entry, or a
-    parameter or Adam moment whose shape disagrees with the net.* keys,
-    raises ArchiveError naming the key or tensor and the directory."""
+    centers are restored bit-exactly, copied into the optimizer's storage.
+    A missing or unparsable entry, a parameter, Adam moment or center whose
+    shape disagrees with the net.* keys, or a center set other than one per
+    identity, raises ArchiveError naming the key or tensor and the
+    directory."""
     meta, tensors = read_archive(dir_path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"archive at {dir_path} is not a checkpoint "
@@ -69,14 +71,27 @@ def load_checkpoint(dir_path):
             if stored.shape != param.data.shape:
                 raise ArchiveError(f"archive {dir_path}: tensor '{kind}/{name}' has shape "
                                    f"{stored.shape}, but the net.* keys give {param.data.shape}")
-        param.data = tensors[f"param/{name}"]
-        optimizer.m[name] = tensors[f"adam_m/{name}"]
-        optimizer.v[name] = tensors[f"adam_v/{name}"]
+        param.data[...] = tensors[f"param/{name}"]
+        optimizer.m[name][...] = tensors[f"adam_m/{name}"]
+        optimizer.v[name][...] = tensors[f"adam_v/{name}"]
     registry = ClusterRegistry(meta.parse("registry.refresh_period_epochs", int))
-    centers = {int(key[len("registry/center_"):]): value
-               for key, value in tensors.items() if key.startswith("registry/center_")}
     last_refresh = meta.parse("registry.last_refresh_epoch",
                               lambda text: None if text == "none" else int(text))
     if last_refresh is not None:
-        registry.set_centers(centers, last_refresh)
+        registry.set_centers(_read_centers(dir_path, tensors, model.config), last_refresh)
     return model, optimizer, registry, meta
+
+
+def _read_centers(dir_path, tensors, config: NetworkConfig) -> dict:
+    """The registry/center_<k> tensors: exactly k = 0 .. num_identities - 1,
+    each of shape (id_dim,)."""
+    names = [f"registry/center_{k}" for k in range(config.num_identities)]
+    stray = sorted(set(key for key in tensors if key.startswith("registry/center_")) - set(names))
+    if stray:
+        raise ArchiveError(f"archive {dir_path}: tensor '{stray[0]}' is not a center of "
+                           f"identities 0..{config.num_identities - 1}")
+    for key in names:
+        if tensors[key].shape != (config.id_dim,):
+            raise ArchiveError(f"archive {dir_path}: tensor '{key}' has shape "
+                               f"{tensors[key].shape}, but the net.* keys give {(config.id_dim,)}")
+    return {identity: tensors[key] for identity, key in enumerate(names)}

@@ -13,7 +13,8 @@ class ClusterRegistry:
 
     Centers are plain numpy vectors: the discrepancy loss treats them as
     constants, and they are rebuilt offline from a frozen model rather than
-    updated in-graph.
+    updated in-graph.  ``centers`` maps identity to vector; the stacked
+    (num_identities, d_I) matrix is built once per refresh or restore.
     """
 
     def __init__(self, refresh_period_epochs: int = 1):
@@ -22,6 +23,7 @@ class ClusterRegistry:
         self.refresh_period_epochs = int(refresh_period_epochs)
         self.centers: dict[int, np.ndarray] = {}
         self.last_refresh_epoch: int | None = None
+        self._matrix: np.ndarray | None = None
 
     def should_refresh(self, epoch: int) -> bool:
         if not self.centers:
@@ -43,19 +45,23 @@ class ClusterRegistry:
                 chunk = images[start:start + batch_size]
                 features = model.backbone_forward(chunk)
                 embeddings[start:start + batch_size] = model.separator_forward(features).id_feat.data
-        self.centers = {int(i): embeddings[labels == i].mean(axis=0) for i in present}
-        self.last_refresh_epoch = int(epoch)
+        self.set_centers({int(i): embeddings[labels == i].mean(axis=0) for i in present},
+                         epoch)
 
     def centers_matrix(self) -> np.ndarray:
-        """Centers stacked in identity order, shape (num_identities, d_I)."""
-        if not self.centers:
-            raise ValueError("registry is empty; refresh first")
-        order = sorted(self.centers)
-        if order != list(range(len(order))):
-            raise ValueError(f"center identities are not contiguous from 0: {order}")
-        return np.stack([self.centers[i] for i in order])
+        """Centers stacked in identity order, shape (num_identities, d_I).
+        The same array on every call until the next refresh; do not modify."""
+        if self._matrix is None:
+            if not self.centers:
+                raise ValueError("registry is empty; refresh first")
+            raise ValueError("center identities are not contiguous from 0: "
+                             f"{sorted(self.centers)}")
+        return self._matrix
 
     def set_centers(self, centers: dict[int, np.ndarray], last_refresh_epoch: int) -> None:
-        """Restore state from a checkpoint."""
+        """Replace every center (a refresh, or a restore from a checkpoint)."""
         self.centers = {int(k): np.asarray(v, dtype=np.float64) for k, v in centers.items()}
         self.last_refresh_epoch = int(last_refresh_epoch)
+        order = sorted(self.centers)
+        contiguous = bool(order) and order == list(range(len(order)))
+        self._matrix = np.stack([self.centers[i] for i in order]) if contiguous else None

@@ -6,7 +6,8 @@ Conventions shared by every kernel here:
 - reconstruction targets and cluster centers enter as plain numpy arrays,
   i.e. constants during backward;
 - log-sum-exp terms use a detached max shift (same value, same gradient,
-  no overflow).
+  no overflow);
+- the triplet, cross-entropy and L1 terms are each one fused autodiff node.
 """
 from __future__ import annotations
 
@@ -85,14 +86,6 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _log_sum_exp_rows(t: Tensor) -> Tensor:
-    """Row-wise log(sum(exp(t))) with a detached max shift.  The shift is a
-    constant, so the gradient is the exact softmax either way."""
-    shift = t.data.max(axis=1, keepdims=True)
-    summed = ad.tensor_sum((t - shift).exp(), axis=1)
-    return summed.log() + shift.reshape(-1)
-
-
 def _pairwise_sq_dist(points: Tensor, centers: np.ndarray) -> Tensor:
     """(B, d) x (K, d) -> (B, K) squared Euclidean distances; centers are
     constants."""
@@ -103,9 +96,8 @@ def _pairwise_sq_dist(points: Tensor, centers: np.ndarray) -> Tensor:
 def triplet_loss(batch: TripletBatch, margin: float = 0.9) -> Tensor:
     """Hinge on squared Euclidean id-embedding distances, averaged over the
     batch: mean(max(d(q,p) - d(q,n) + margin, 0))."""
-    d_pos = ad.tensor_sum((batch.query.id_feat - batch.positive.id_feat).square(), axis=1)
-    d_neg = ad.tensor_sum((batch.query.id_feat - batch.negative.id_feat).square(), axis=1)
-    return (d_pos - d_neg + margin).relu().mean()
+    return ad.triplet_hinge(batch.query.id_feat, batch.positive.id_feat,
+                            batch.negative.id_feat, margin)
 
 
 def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
@@ -133,8 +125,7 @@ def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     labels = np.asarray(labels)
     if logits.data.ndim != 2:
         raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
-    true_logit = ad.tensor_sum(ad.mask_mul(logits, _one_hot(labels, logits.shape[1])), axis=1)
-    return (_log_sum_exp_rows(logits) - true_logit).mean()
+    return ad.cross_entropy(logits, _one_hot(labels, logits.shape[1]))
 
 
 def cam_classification_loss(cam_logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -152,7 +143,7 @@ def _l1_terms(outputs, targets, what: str) -> Tensor:
         target = np.asarray(target, dtype=np.float64)
         if output.shape != target.shape:
             raise ShapeError(f"{what} {output.shape} vs target {target.shape}")
-        term = (output - target).abs().mean()
+        term = ad.mean_abs_error(output, target)
         total = term if total is None else total + term
     return total
 

@@ -116,8 +116,9 @@ class ReidModel:
                 data = rng.uniform(-bound, bound, size=shape)
             self.params[name] = Tensor(data, requires_grad=True)
 
-    def _dense(self, x: Tensor, prefix: str, index: str) -> Tensor:
-        return x @ self.params[f"{prefix}.w{index}"] + self.params[f"{prefix}.b{index}"]
+    def _dense(self, x: Tensor, prefix: str, index: str, act: str = "none") -> Tensor:
+        return ad.dense(x, self.params[f"{prefix}.w{index}"],
+                        self.params[f"{prefix}.b{index}"], act)
 
     def backbone_forward(self, x) -> Tensor:
         """Image batch (B, C, H, W) -> nonnegative feature maps (B, C_b, H_b, W_b)."""
@@ -126,8 +127,8 @@ class ReidModel:
             raise ShapeError(
                 f"backbone expects (B, {self.config.image_shape}), got {x.data.shape}")
         batch = x.data.shape[0]
-        h = self._dense(x.reshape((batch, self.config.image_size)), "backbone", "1").relu()
-        f = self._dense(h, "backbone", "2").relu()
+        h = self._dense(x.reshape((batch, self.config.image_size)), "backbone", "1", "relu")
+        f = self._dense(h, "backbone", "2", "relu")
         return f.reshape((batch,) + self.config.feature_shape)
 
     def separator_forward(self, features: Tensor, train_mode: bool = False,
@@ -142,7 +143,7 @@ class ReidModel:
                 f"separator expects (B, {self.config.feature_shape}), got {features.data.shape}")
         batch = features.data.shape[0]
         flat = features.reshape((batch, self.config.feature_size))
-        shared = self._dense(flat, "separator", "1").relu()
+        shared = self._dense(flat, "separator", "1", "relu")
         id_feat = self._dense(shared, "separator", "_id").squash()
         app_feat = self._dense(shared, "separator", "_app").squash()
         if train_mode and self.config.id_dropout > 0.0:
@@ -166,17 +167,16 @@ class ReidModel:
                              f"got {app_feat.data.shape}")
         batch = id_feat.data.shape[0]
         joined = ad.concat([id_feat, app_feat], axis=1)
-        h = self._dense(joined, "generator", "1").relu()
-        tap_flat = self._dense(h, "generator", "2").relu()
+        h = self._dense(joined, "generator", "1", "relu")
+        tap_flat = self._dense(h, "generator", "2", "relu")
         tap = tap_flat.reshape((batch,) + self.config.feature_shape)
-        image = self._dense(tap_flat, "generator", "3").sigmoid()
+        image = self._dense(tap_flat, "generator", "3", "sigmoid")
         _, height, width = self.config.image_shape
         return tap, image.reshape((batch, 1, height, width))
 
     def cam_logits(self, features: Tensor) -> Tensor:
         """Feature maps -> class logits via global average pooling + dense."""
-        pooled = features.mean(axis=(2, 3))
-        return pooled @ self.params["cam.w"] + self.params["cam.b"]
+        return self._dense(features.mean(axis=(2, 3)), "cam", "")
 
     def cam_maps(self, feature_values: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Per-sample spatial activation maps for the given labels.
@@ -193,4 +193,4 @@ class ReidModel:
     def classifier_forward(self, emb: DisentangledEmbedding) -> Tensor:
         """Concatenated embedding -> identity logits."""
         joined = ad.concat([emb.id_feat, emb.app_feat], axis=1)
-        return joined @ self.params["classifier.w"] + self.params["classifier.b"]
+        return self._dense(joined, "classifier", "")

@@ -9,6 +9,7 @@ from a checkpoint therefore replays the exact remaining trajectory.
 """
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -122,7 +123,9 @@ class Trainer:
         return ",".join([str(row[0])] + [repr(float(v)) for v in row[1:]])
 
     def train_step(self) -> tuple:
-        """One optimization step.  Returns the logged loss row."""
+        """One optimization step.  Returns the logged loss row.  A
+        non-finite loss component raises ValueError before backward, so the
+        parameters and Adam state stay as they were."""
         cfg = self.config
         if not self.registry.centers:
             raise RuntimeError("cluster registry is empty; refresh before stepping")
@@ -139,19 +142,17 @@ class Trainer:
 
         features = self.model.backbone_forward(images)
         emb_all = self.model.separator_forward(features, train_mode=True, rng=rng)
-        rows = np.arange(size)
-        emb_q = DisentangledEmbedding(emb_all.id_feat[rows], emb_all.app_feat[rows])
-        emb_p = DisentangledEmbedding(emb_all.id_feat[rows + size],
-                                      emb_all.app_feat[rows + size])
-        emb_n = DisentangledEmbedding(emb_all.id_feat[rows + 2 * size],
-                                      emb_all.app_feat[rows + 2 * size])
+        q_rows, p_rows, n_rows = slice(size), slice(size, 2 * size), slice(2 * size, None)
+        emb_q = DisentangledEmbedding(emb_all.id_feat[q_rows], emb_all.app_feat[q_rows])
+        emb_p = DisentangledEmbedding(emb_all.id_feat[p_rows], emb_all.app_feat[p_rows])
+        emb_n = DisentangledEmbedding(emb_all.id_feat[n_rows], emb_all.app_feat[n_rows])
 
         batch = TripletBatch(emb_q, emb_p, emb_n, y_q, y_n)
         tri = triplet_loss(batch, cfg.loss.margin)
         center = center_discrepancy_loss(emb_q.id_feat, y_q,
                                          self.registry.centers_matrix())
         cls = classification_loss(self.model.classifier_forward(emb_q), y_q)
-        cam = cam_classification_loss(self.model.cam_logits(features[rows]), y_q)
+        cam = cam_classification_loss(self.model.cam_logits(features[q_rows]), y_q)
 
         gray = to_grayscale(images[:2 * size])
         pos = positive_recon_loss(augment_positive(emb_q, emb_p, self.model),
@@ -168,11 +169,14 @@ class Trainer:
         neg = negative_recon_loss(taps, pseudo_q, pseudo_n)
 
         total = total_loss(cls, tri, center, cam, pos, neg, cfg.loss)
-        total.backward()
-        self.optimizer.step()
-
         row = (self.step, cls.item(), tri.item(), center.item(), cam.item(),
                pos.item(), neg.item(), total.item())
+        for name, value in zip(LOG_HEADER.split(",")[1:], row[1:]):
+            if not math.isfinite(value):
+                raise ValueError(f"step {self.step}: non-finite {name} ({value!r}); "
+                                 "stopped before the update")
+        total.backward()
+        self.optimizer.step()
         self.loss_rows.append(row)
         self.step += 1
         return row

@@ -251,6 +251,10 @@ def test_grad_check_battery_over_all_ops():
                       rng.normal(size=(3, 2))),
         "take": (lambda t: ad.tensor_sum(ad.square(t[np.array([0, 0, 1])])),
                  rng.normal(size=(3, 2))),
+        "take_slice": (lambda t: ad.tensor_sum(ad.square(t[1:, :1])),
+                       rng.normal(size=(3, 2))),
+        "dense": (lambda t: ad.tensor_sum(ad.square(ad.dense(t, weight, tail, "sigmoid"))),
+                  rng.normal(size=(2, 3))),
         "concat_reshape": (
             lambda t: ad.tensor_sum(ad.square(ad.concat([ad.reshape(t, (6,)), tail]))),
             rng.normal(size=(2, 3))),
@@ -270,3 +274,93 @@ def test_grad_check_flags_wrong_gradient():
     report = ad.grad_check(dishonest, Tensor([1.0, 2.0]))
     assert not report.passed
     assert report.max_rel_error > 0.4
+
+
+# ---- fused ops against the primitive chains they replace ----------------
+
+
+def _leaves(rng, *shapes):
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+def _assert_same_bits(fused, chain, fused_leaves, chain_leaves):
+    """Forward value and every leaf gradient are equal, element for element."""
+    assert np.array_equal(fused.data, chain.data)
+    for f, c in zip(fused_leaves, chain_leaves):
+        assert f.grad is not None and np.array_equal(f.grad, c.grad)
+
+
+@pytest.mark.parametrize("act", ["none", "relu", "sigmoid"])
+def test_dense_matches_primitive_chain(act):
+    rng = np.random.default_rng(21)
+    shapes = ((6, 5), (5, 4), (4,))
+    readout = rng.normal(size=(6, 4))  # a non-uniform upstream gradient
+    fused_leaves = _leaves(rng, *shapes)
+    chain_leaves = [Tensor(t.data.copy(), requires_grad=True) for t in fused_leaves]
+    fused = ad.tensor_sum(ad.mask_mul(ad.dense(*fused_leaves, act), readout))
+    x, w, b = chain_leaves
+    z = x @ w + b
+    out = {"none": z, "relu": ad.relu(z), "sigmoid": ad.sigmoid(z)}[act]
+    chain = ad.tensor_sum(ad.mask_mul(out, readout))
+    fused.backward()
+    chain.backward()
+    _assert_same_bits(fused, chain, fused_leaves, chain_leaves)
+
+
+def test_dense_rejects_bad_shapes_and_activation():
+    x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+    with pytest.raises(ShapeError):
+        ad.dense(x, Tensor(np.ones((2, 4))), b)
+    with pytest.raises(ShapeError):
+        ad.dense(x, w, Tensor(np.ones(3)))
+    with pytest.raises(ValueError):
+        ad.dense(x, w, b, "tanh")
+
+
+def test_take_basic_slice_matches_scatter():
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    y = Tensor(x.data.copy(), requires_grad=True)
+    readout = rng.normal(size=(2, 3))
+    ad.tensor_sum(ad.mask_mul(x[2:4], readout)).backward()
+    ad.tensor_sum(ad.mask_mul(y[np.array([2, 3])], readout)).backward()
+    assert np.array_equal(x.grad, y.grad)
+
+
+def _reference_adam(params, grads, lr, beta1, beta2, epsilon):
+    """The per-parameter update, one parameter at a time."""
+    state = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+    for t, step_grads in enumerate(grads, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for name, (p, m, v) in state.items():
+            g = step_grads[name]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+    return state
+
+
+def test_flat_adam_matches_per_parameter_update_bitwise():
+    rng = np.random.default_rng(23)
+    shapes = {"w": (5, 3), "b": (3,), "s": (), "u": (2, 2, 2)}
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    grads = [{name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2)
+              for name, shape in shapes.items()} for _ in range(50)]
+    params = {name: Tensor(value, requires_grad=True) for name, value in start.items()}
+    opt = Adam(params, lr=0.003, beta1=0.8, beta2=0.99, epsilon=1e-7)
+    views = {name: p.data for name, p in params.items()}
+    for step_grads in grads:
+        for name, p in params.items():
+            p.grad = step_grads[name]
+        opt.step()
+        assert all(p.grad is None for p in params.values())
+    reference = _reference_adam(start, grads, 0.003, 0.8, 0.99, 1e-7)
+    for name, (p, m, v) in reference.items():
+        assert params[name].data is views[name]  # updated in place
+        assert params[name].data.shape == shapes[name]
+        assert np.array_equal(params[name].data, p)
+        assert np.array_equal(opt.m[name], m)
+        assert np.array_equal(opt.v[name], v)

@@ -206,6 +206,40 @@ def test_checkpoint_adam_moment_shape_mismatch_names_tensor(tmp_path, capsys):
     assert ckpt in err and "'adam_m/cam.w'" in err
 
 
+@pytest.mark.parametrize("edit", ["shape", "stray", "missing"])
+def test_checkpoint_bad_registry_center_names_tensor(tmp_path, capsys, edit):
+    """A center of the wrong shape, one for an identity the net does not
+    have (4 of 0..3), or a missing one."""
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    meta, tensors = read_archive(ckpt)
+    name = {"shape": "registry/center_0", "stray": "registry/center_4",
+            "missing": "registry/center_3"}[edit]
+    if edit == "shape":
+        tensors[name] = np.zeros(2)
+    elif edit == "stray":
+        tensors[name] = tensors["registry/center_0"]
+    else:
+        del tensors[name]
+    write_archive(ckpt, meta, tensors)
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert ckpt in err and repr(name) in err
+
+
+def test_train_on_nan_images_stops_at_first_step(tmp_path, capsys):
+    config_path, _ = _write_config(tmp_path)
+    data_dir = str(tmp_path / "data")
+    assert main(["synth", "--ids", "4", "--per-id", "5", "--seed", "1", "--out", data_dir]) == 0
+    meta, tensors = read_archive(data_dir)
+    tensors["images"][:] = np.nan
+    write_archive(data_dir, meta, tensors)
+    with open(config_path, "a") as handle:
+        handle.write(f"data.path={data_dir}\n")
+    capsys.readouterr()
+    assert main(["train", "--config", config_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: step 0: non-finite cls_loss") and "\n" not in err
+
+
 def test_dataset_missing_key_is_error(tmp_path, capsys):
     ckpt, data_dir = _trained_run(tmp_path, capsys)
     _edit_manifest(data_dir, "seed")

@@ -52,38 +52,24 @@ def test_completes_quickly():
 
 
 def test_corrupted_backward_flags_exactly_one_loss(monkeypatch):
-    # Scale the sigmoid backward rule by 1.01. The sigmoid nonlinearity only
+    # Scale the sigmoid derivative by 1.01 at every op that applies it (the
+    # sigmoid op and the fused dense layer). The sigmoid nonlinearity only
     # appears in the generator image head, whose output feeds the positive
     # reconstruction loss alone; the negative path stops at the hidden tap.
-    true_sigmoid = ad.sigmoid
-
-    def corrupt_sigmoid(a):
-        out = true_sigmoid(a)
-        if out._rule is not None:
-            true_rule = out._rule
-            out._rule = lambda g: true_rule(1.01 * g)
-        return out
-
-    monkeypatch.setattr(ad, "sigmoid", corrupt_sigmoid)
+    true_grad = ad.sigmoid_grad
+    monkeypatch.setattr(ad, "sigmoid_grad", lambda g, out: true_grad(1.01 * g, out))
     entries = gradcheck_all(seed=0)
     failed = [e.name for e in entries if not e.passed]
     assert failed == ["positive_recon_loss"]
 
 
 def test_corrupted_relu_flags_multiple_losses(monkeypatch):
-    # A relu corruption hits the triplet hinge and the generator hidden
-    # layers; the logsumexp-based center loss and the relu-free linear
-    # classifier heads stay clean.
-    true_relu = ad.relu
-
-    def corrupt_relu(a):
-        out = true_relu(a)
-        if out._rule is not None:
-            true_rule = out._rule
-            out._rule = lambda g: true_rule(1.05 * g)
-        return out
-
-    monkeypatch.setattr(ad, "relu", corrupt_relu)
+    # Scale the relu derivative by 1.05 at every op that applies it (the relu
+    # op, the fused dense layer and the fused triplet hinge). It hits the
+    # triplet hinge and the generator hidden layers; the logsumexp-based
+    # center loss and the relu-free linear classifier heads stay clean.
+    true_grad = ad.relu_grad
+    monkeypatch.setattr(ad, "relu_grad", lambda g, active: true_grad(1.05 * g, active))
     entries = gradcheck_all(seed=0)
     status = {e.name: e.passed for e in entries}
     assert not status["triplet_loss"]

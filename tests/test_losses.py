@@ -269,3 +269,79 @@ def test_negative_recon_gradient():
     x = Tensor(rng.uniform(0.5, 0.9, size=(2, 2, 2, 2)))
     report = ad.grad_check(fn, x)
     assert report.passed, report.max_rel_error
+
+
+# fused loss nodes against the primitive chains they replace: the forward
+# value and every leaf gradient must be bitwise equal
+
+
+def _twin_leaves(rng, *shapes):
+    fused = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+    return fused, [Tensor(t.data.copy(), requires_grad=True) for t in fused]
+
+
+def _assert_same_bits(fused, chain, fused_leaves, chain_leaves):
+    fused, chain = fused * 0.37, chain * 0.37  # a non-unit upstream gradient
+    fused.backward()
+    chain.backward()
+    assert np.array_equal(fused.data, chain.data)
+    for f, c in zip(fused_leaves, chain_leaves):
+        assert f.grad is not None and np.array_equal(f.grad, c.grad)
+
+
+def _chain_cross_entropy(logits, labels):
+    shift = logits.data.max(axis=1, keepdims=True)
+    summed = ad.tensor_sum(ad.exp(logits - shift), axis=1)
+    log_sum_exp = ad.log(summed) + shift.reshape(-1)
+    one_hot = np.eye(logits.shape[1])[labels]
+    true_logit = ad.tensor_sum(ad.mask_mul(logits, one_hot), axis=1)
+    return (log_sum_exp - true_logit).mean()
+
+
+def test_fused_triplet_matches_primitive_chain():
+    rng = np.random.default_rng(31)
+    fused_leaves, chain_leaves = _twin_leaves(rng, (7, 5), (7, 5), (7, 5))
+    q, p, n = chain_leaves
+    d_pos = ad.tensor_sum((q - p).square(), axis=1)
+    d_neg = ad.tensor_sum((q - n).square(), axis=1)
+    chain = (d_pos - d_neg + 0.9).relu().mean()
+    fused = triplet_loss(TripletBatch(*(DisentangledEmbedding(t, Tensor(np.zeros((7, 1))))
+                                        for t in fused_leaves),
+                                      np.zeros(7, dtype=int), np.ones(7, dtype=int)), 0.9)
+    assert 0.0 < np.mean(d_pos.data - d_neg.data + 0.9 > 0.0) < 1.0  # both hinge sides
+    _assert_same_bits(fused, chain, fused_leaves, chain_leaves)
+
+
+def test_fused_cross_entropy_matches_primitive_chain():
+    rng = np.random.default_rng(32)
+    labels = rng.integers(0, 6, size=9)
+    fused_leaves, chain_leaves = _twin_leaves(rng, (9, 6))
+    _assert_same_bits(classification_loss(fused_leaves[0], labels),
+                      _chain_cross_entropy(chain_leaves[0], labels),
+                      fused_leaves, chain_leaves)
+
+
+def test_fused_center_loss_matches_primitive_chain():
+    rng = np.random.default_rng(33)
+    labels = rng.integers(0, 5, size=8)
+    centers = rng.normal(size=(5, 4))
+    fused_leaves, chain_leaves = _twin_leaves(rng, (8, 4))
+    diff = chain_leaves[0].reshape((8, 1, 4)) - centers[None, :, :]
+    chain = _chain_cross_entropy(-ad.tensor_sum(diff.square(), axis=2), labels)
+    _assert_same_bits(center_discrepancy_loss(fused_leaves[0], labels, centers), chain,
+                      fused_leaves, chain_leaves)
+
+
+def test_fused_l1_terms_match_primitive_chain():
+    rng = np.random.default_rng(34)
+    shape = (3, 1, 4, 2)
+    targets = [rng.normal(size=shape) for _ in range(3)]
+    targets[0][0, 0, 0, 0] = 0.0
+    fused_leaves, chain_leaves = _twin_leaves(rng, shape, shape, shape)
+    chain_leaves[0].data[0, 0, 0, 0] = fused_leaves[0].data[0, 0, 0, 0] = 0.0  # |x - t| kink
+    chain = None
+    for output, target in zip(chain_leaves, (targets[0], targets[1], targets[0])):
+        term = ad.absolute(output - target).mean()
+        chain = term if chain is None else chain + term
+    _assert_same_bits(positive_recon_loss(fused_leaves, targets[0], targets[1]), chain,
+                      fused_leaves, chain_leaves)

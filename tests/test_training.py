@@ -1,5 +1,7 @@
 """Trainer determinism, checkpoint round-trip, and resume equality at
 miniature scale."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from sirmetric.autodiff import Adam
 from sirmetric.checkpoint import load_checkpoint, save_checkpoint
 from sirmetric.clusters import ClusterRegistry
 from sirmetric.config import RunConfig
-from sirmetric.data import DatasetManifest
+from sirmetric.data import DatasetManifest, generate
 from sirmetric.losses import LossWeights
 from sirmetric.networks import NetworkConfig, ReidModel
 from sirmetric.training import LOG_HEADER, Trainer, read_loss_log
@@ -141,3 +143,59 @@ def test_trainer_epoch_refresh_schedule(tmp_path):
     trainer.run(save_checkpoints=False)
     # refreshes at epoch 0 (cold start) and epoch 2
     assert trainer.registry.last_refresh_epoch == 2
+
+
+def test_loss_log_digest_is_frozen(tmp_path):
+    """The loss logs and final checkpoint blobs of a 30-step RunConfig() run
+    and of the tiny run are pinned to the bit.  The blob holds the Adam
+    moments, which keep a gradient's last bits that the loss log may round
+    away.  The digests were taken before the autodiff fusions (dense layers,
+    the triplet / cross-entropy / L1 nodes, the flat Adam), on numpy 2.4.6
+    with scipy-openblas 0.3.31 (x86-64, Haswell kernels) and Python 3.11; a
+    change that moves one rounding fails here.  Another numpy or BLAS build
+    may round the matrix products differently."""
+    runs = {
+        "runconfig": (RunConfig(epochs=3, steps_per_epoch=10, out_dir=str(tmp_path / "default")),
+                      "6732c7f3f82d6cc2986dc4285fb61f1cbd8762b059d78b8ef4739a581dda6459",
+                      "dbfcd8eab61634bfbe50e629c8177df39e8fa57449de713fa689c6c76523f5ab"),
+        "tiny": (_tiny_config(tmp_path),
+                 "4be45b5749b52b5bd887ab67b2568b4d2e3028da12d15ae204d770b83d4b3790",
+                 "45f5b16e95f5161c909526bfdf9028c366616e66ccced9734acbe2de89cd234d"),
+    }
+    for name, (config, log_digest, blob_digest) in runs.items():
+        Trainer(config).run()
+        out = tmp_path / config.out_dir
+        for path, expected in ((out / "loss_log.csv", log_digest),
+                               (out / "ckpt_final" / "data.blob", blob_digest)):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, (name, path.name)
+
+
+def test_loaded_checkpoint_parameters_move_on_step(tmp_path):
+    trainer = Trainer(_tiny_config(tmp_path, epochs=1))
+    trainer.run()
+    model, optimizer, _, _ = load_checkpoint(tmp_path / "run" / "ckpt_final")
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    for p in model.params.values():
+        p.grad = np.ones_like(p.data)
+    optimizer.step()
+    for name, p in model.params.items():
+        assert optimizer.params[name] is p
+        assert np.all(p.data != before[name]), name
+        assert np.array_equal(optimizer.m[name], trainer.optimizer.m[name] * 0.9 + (1.0 - 0.9))
+
+
+def _nan_dataset():
+    dataset = generate(TINY_DATA)
+    dataset.images[:] = np.nan
+    return dataset
+
+
+def test_non_finite_loss_stops_before_update(tmp_path):
+    trainer = Trainer(_tiny_config(tmp_path), dataset=_nan_dataset())
+    before = {name: p.data.copy() for name, p in trainer.model.params.items()}
+    with pytest.raises(ValueError, match=r"^step 0: non-finite cls_loss \(nan\)"):
+        trainer.run(save_checkpoints=False)
+    assert trainer.step == 0 and trainer.optimizer.t == 0
+    for name, p in trainer.model.params.items():
+        assert np.array_equal(p.data, before[name])
+        assert not np.any(trainer.optimizer.m[name])
