@@ -9,6 +9,8 @@ Manifest layout:
     tensor.<name>=<d0>,<d1>,...:<byte offset>
 
 Tensor bytes live in ``data.blob`` at the stated offsets, C-order '<f8'.
+The extents tile the blob: sorted by offset, each starts where the previous
+one ends, and the last ends at the blob's end.
 
 The ``key=value`` value text, shared with run configs: bools are
 ``true``/``false``, floats their repr (exact round trip), tuples
@@ -17,6 +19,7 @@ parsed by its field's declared type, so one declaration fixes both.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import fields
 from typing import get_type_hints
@@ -102,24 +105,20 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
             raise ArchiveError(f"meta value for {key!r} contains a newline")
         lines.append(f"{key}={value}")
     offset = 0
-    chunks = []
-    for name in sorted(tensors):
-        array = np.ascontiguousarray(np.asarray(tensors[name], dtype="<f8"))
-        lines.append(f"tensor.{name}={format_value(array.shape)}:{offset}")
-        raw = array.tobytes()
-        chunks.append(raw)
-        offset += len(raw)
+    with open(os.path.join(dir_path, BLOB_NAME), "wb") as handle:
+        for name in sorted(tensors):
+            array = np.ascontiguousarray(tensors[name], dtype="<f8")
+            lines.append(f"tensor.{name}={format_value(array.shape)}:{offset}")
+            handle.write(array.data)
+            offset += array.nbytes
     with open(os.path.join(dir_path, MANIFEST_NAME), "w") as handle:
         handle.write("\n".join(lines) + "\n")
-    with open(os.path.join(dir_path, BLOB_NAME), "wb") as handle:
-        for raw in chunks:
-            handle.write(raw)
 
 
 def read_archive(dir_path):
     """Read manifest + blob back into (meta, tensors), both Entries: meta
-    maps keys to value text, tensors map names to float64 arrays.  The
-    tensor extents must end exactly at the end of the blob."""
+    maps keys to value text, tensors map names to float64 views of one
+    array read from the whole blob, whose extents must tile it."""
     manifest_path = os.path.join(dir_path, MANIFEST_NAME)
     blob_path = os.path.join(dir_path, BLOB_NAME)
     if not os.path.isfile(manifest_path):
@@ -142,22 +141,25 @@ def read_archive(dir_path):
                 offset = int(offset_part)
             except ValueError:
                 raise ArchiveError(f"malformed tensor entry: {line!r}") from None
-            entries.append((name, shape, offset))
+            entries.append((offset, math.prod(shape), name, shape))
         else:
             meta[key] = value
     with open(blob_path, "rb") as handle:
-        blob = handle.read()
+        size = os.fstat(handle.fileno()).st_size
+        blob = np.empty(size // 8, dtype="<f8")
+        handle.readinto(blob)
     tensors = {}
-    blob_end = 0
-    for name, shape, offset in entries:
-        count = int(np.prod(shape)) if shape else 1
+    end = 0
+    for offset, count, name, shape in sorted(entries, key=lambda entry: entry[:2]):
+        if offset != end:
+            raise ArchiveError(f"archive {dir_path}: tensor {name!r} starts at byte {offset}, "
+                               f"but the previous extent ends at byte {end}")
         end = offset + 8 * count
-        if end > len(blob):
+        if end > size:
             raise ArchiveError(f"archive {dir_path}: tensor {name!r} overruns the blob "
-                               f"({end} > {len(blob)} bytes)")
-        tensors[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-        blob_end = max(blob_end, end)
-    if blob_end != len(blob):
-        raise ArchiveError(f"archive {dir_path}: the tensors end at byte {blob_end} "
-                           f"of a {len(blob)}-byte blob")
+                               f"({end} > {size} bytes)")
+        tensors[name] = blob[offset // 8:end // 8].reshape(shape)
+    if end != size:
+        raise ArchiveError(f"archive {dir_path}: the tensors end at byte {end} "
+                           f"of a {size}-byte blob")
     return Entries(meta, dir_path), Entries(tensors, dir_path)

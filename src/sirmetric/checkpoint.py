@@ -49,7 +49,8 @@ def save_checkpoint(dir_path, model: ReidModel, optimizer: Adam,
 def load_checkpoint(dir_path):
     """Rebuild (model, optimizer, registry, meta) from a checkpoint
     directory.  Parameter values, Adam moments and step count, and cluster
-    centers are restored bit-exactly, copied into the optimizer's storage.
+    centers are restored bit-exactly; the model wraps the stored parameters
+    (no random draw) and the optimizer copies them into its storage.
     A missing or unparsable entry, a parameter, Adam moment or center whose
     shape disagrees with the net.* keys, or a center set other than one per
     identity, raises ArchiveError naming the key or tensor and the
@@ -58,20 +59,22 @@ def load_checkpoint(dir_path):
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"archive at {dir_path} is not a checkpoint "
                          f"(kind={meta.get('kind')!r})")
-    model = ReidModel(NetworkConfig(**meta.decode_fields(_NET_TABLE)), seed=0)
+    config = NetworkConfig(**meta.decode_fields(_NET_TABLE))
+    shapes = config.parameter_shapes()
+    for name, shape in shapes.items():
+        for kind in ("param", "adam_m", "adam_v"):
+            stored = tensors[f"{kind}/{name}"]
+            if stored.shape != shape:
+                raise ArchiveError(f"archive {dir_path}: tensor '{kind}/{name}' has shape "
+                                   f"{stored.shape}, but the net.* keys give {shape}")
+    model = ReidModel(config, params={name: tensors[f"param/{name}"] for name in shapes})
     optimizer = Adam(model.params,
                      lr=meta.parse("adam.learning_rate", float),
                      beta1=meta.parse("adam.beta1", float),
                      beta2=meta.parse("adam.beta2", float),
                      epsilon=meta.parse("adam.epsilon", float))
     optimizer.t = meta.parse("adam.t", int)
-    for name, param in model.params.items():
-        for kind in ("param", "adam_m", "adam_v"):
-            stored = tensors[f"{kind}/{name}"]
-            if stored.shape != param.data.shape:
-                raise ArchiveError(f"archive {dir_path}: tensor '{kind}/{name}' has shape "
-                                   f"{stored.shape}, but the net.* keys give {param.data.shape}")
-        param.data[...] = tensors[f"param/{name}"]
+    for name in shapes:
         optimizer.m[name][...] = tensors[f"adam_m/{name}"]
         optimizer.v[name][...] = tensors[f"adam_v/{name}"]
     registry = ClusterRegistry(meta.parse("registry.refresh_period_epochs", int))

@@ -4,8 +4,9 @@ Fused vector = [id embedding | appearance embedding | alpha * pooled
 backbone features], optionally averaged with the horizontally flipped
 image's vector.  Ranking is ascending Euclidean distance with ties broken
 by gallery index.  Distances come from the squared-norm expansion
-||q||^2 + ||g||^2 - 2 q.g, one matrix product with O(Q * N_g) memory, and
-equal the direct ||q - g|| up to rounding.
+||q||^2 + ||g||^2 - 2 q.g, one matrix product into one (Q, N_g) buffer, and
+equal the direct ||q - g|| up to rounding.  CMC and mAP are derived from
+the positions of the relevant gallery items alone.
 """
 from __future__ import annotations
 
@@ -21,18 +22,11 @@ from .networks import ReidModel
 
 @dataclass
 class RetrievalResult:
-    ranked_labels: np.ndarray   # (num_queries, num_gallery)
     cmc: np.ndarray             # (num_gallery,), cumulative match rate at k=1..N_g
     mean_ap: float
     num_queries_without_match: int
-
-    @property
-    def num_queries(self) -> int:
-        return int(self.ranked_labels.shape[0])
-
-    @property
-    def num_gallery(self) -> int:
-        return int(self.ranked_labels.shape[1])
+    num_queries: int
+    num_gallery: int
 
     def rank_k(self, k: int) -> float:
         """CMC at rank k, clamped to the gallery size."""
@@ -44,6 +38,7 @@ class RetrievalResult:
 def fuse_embeddings(images: np.ndarray, model: ReidModel, alpha: float = 0.55,
                     use_flip: bool = True, batch_size: int = 64) -> np.ndarray:
     """Batch of images -> (N, d_I + d_A + C_b) fused vectors, eval mode."""
+    # fixed 64-row chunks: a product's row count can move embedding bits (a 4,000-row pass does)
     images = np.asarray(images, dtype=np.float64)
     out = np.empty((images.shape[0],
                     model.config.embed_dim + model.config.feature_shape[0]))
@@ -74,17 +69,24 @@ def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
             or queries.shape[1] != gallery.shape[1]):
         raise ValueError("need (Q, dim) queries and a non-empty (N, dim) gallery, "
                          f"got shapes {queries.shape} and {gallery.shape}")
-    squared = ((queries * queries).sum(axis=1)[:, None] + (gallery * gallery).sum(axis=1)
-               - 2.0 * (queries @ gallery.T))
-    distances = np.sqrt(np.maximum(squared, 0.0))
+    # ||q||^2 + ||g||^2 - 2 q.g in one (Q, N_g) buffer, the same operations
+    # in the same order as the plain expression, so the bits match it
+    distances = (queries * queries).sum(axis=1)[:, None] + (gallery * gallery).sum(axis=1)
+    cross = queries @ gallery.T
+    cross *= 2.0
+    distances -= cross
+    del cross
+    np.maximum(distances, 0.0, out=distances)
+    np.sqrt(distances, out=distances)
     order = np.argsort(distances, axis=1)
-    ranked = np.take_along_axis(distances, order, axis=1)
-    # The default sort is not stable: rows holding an exact tie (or a NaN)
-    # are sorted again stably so ties keep gallery-index order.
-    unstable = ~np.all(np.diff(ranked, axis=1) > 0.0, axis=1)
+    # On a strictly increasing row the order is unique and the sorted values
+    # are distances[order] bit for bit.  The default sort is not stable: rows
+    # holding an exact tie (or a NaN) are sorted again stably and gathered.
+    ranked = np.sort(distances, axis=1)
+    unstable = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
     if unstable.any():
         order[unstable] = np.argsort(distances[unstable], axis=1, kind="stable")
-        ranked = np.take_along_axis(distances, order, axis=1)
+        ranked[unstable] = np.take_along_axis(distances[unstable], order[unstable], axis=1)
     return order, ranked
 
 
@@ -101,19 +103,22 @@ def cmc_and_map(rank_indices: np.ndarray, query_labels: np.ndarray,
     gallery_labels = np.asarray(gallery_labels)
     if gallery_labels.size == 0:
         raise ValueError("empty gallery")
-    ranked_labels = gallery_labels[rank_indices]
-    matches = ranked_labels == query_labels[:, None]
-    hits = np.cumsum(matches, axis=1)
-    cmc = (hits > 0).mean(axis=0)
-    rows, cols = np.nonzero(matches)
-    # precision at each hit: hits so far over its 1-based rank
-    precision_sums = np.bincount(rows, weights=hits[rows, cols] / (cols + 1),
-                                 minlength=matches.shape[0])
-    total_relevant = hits[:, -1]
+    matches = np.take(gallery_labels, rank_indices) == query_labels[:, None]
+    num_queries, num_gallery = matches.shape
+    # hits in row-major order: a hit's count so far is its ordinal in its row
+    rows, cols = np.divmod(np.flatnonzero(matches), num_gallery)
+    total_relevant = np.bincount(rows, minlength=num_queries)
+    row_starts = np.cumsum(total_relevant) - total_relevant
+    hits = np.arange(1, rows.size + 1) - row_starts[rows]
     matched = total_relevant > 0
+    # CMC at k: the queries whose first hit lies at rank <= k, over all queries
+    first_hits = np.bincount(cols[row_starts[matched]], minlength=num_gallery)
+    cmc = np.cumsum(first_hits) / num_queries
+    # precision at each hit: hits so far over its 1-based rank
+    precision_sums = np.bincount(rows, weights=hits / (cols + 1), minlength=num_queries)
     aps = precision_sums[matched] / total_relevant[matched]
     mean_ap = float(aps.mean()) if aps.size else 0.0
-    return RetrievalResult(ranked_labels, cmc, mean_ap, int((~matched).sum()))
+    return RetrievalResult(cmc, mean_ap, int((~matched).sum()), num_queries, num_gallery)
 
 
 def evaluate_retrieval(dataset: Dataset, model: ReidModel, alpha: float = 0.55,
@@ -141,18 +146,6 @@ def metrics_json(result: RetrievalResult, alpha: float) -> str:
         "num_gallery": result.num_gallery,
         "alpha": alpha,
     }, indent=2)
-
-
-def write_rankings_csv(path, rank_indices: np.ndarray, distances: np.ndarray,
-                       query_ids, gallery_ids) -> None:
-    """Per-query ranking dump: one row per (query, rank) pair."""
-    query_ids = np.asarray(query_ids)
-    gallery_ids = np.asarray(gallery_ids)
-    with open(path, "w") as handle:
-        handle.write("query_id,rank,gallery_id,distance\n")
-        for qi, (order, dist) in enumerate(zip(rank_indices, distances)):
-            for rank, (gi, d) in enumerate(zip(order, dist), start=1):
-                handle.write(f"{query_ids[qi]},{rank},{gallery_ids[gi]},{float(d)!r}\n")
 
 
 def write_embeddings_csv(path, sample_ids, labels, id_feats: np.ndarray,

@@ -64,6 +64,25 @@ class NetworkConfig:
     def embed_dim(self) -> int:
         return self.id_dim + self.app_dim
 
+    def parameter_shapes(self) -> dict:
+        """Name -> shape of every parameter, in creation order: each dense
+        layer's weight (fan_in, fan_out), then its bias (fan_out,)."""
+        layers = [("backbone", "1", self.image_size, self.backbone_hidden),
+                  ("backbone", "2", self.backbone_hidden, self.feature_size),
+                  ("separator", "1", self.feature_size, self.separator_hidden),
+                  ("separator", "_id", self.separator_hidden, self.id_dim),
+                  ("separator", "_app", self.separator_hidden, self.app_dim),
+                  ("generator", "1", self.embed_dim, self.generator_hidden),
+                  ("generator", "2", self.generator_hidden, self.feature_size),
+                  ("generator", "3", self.feature_size, self.image_shape[1] * self.image_shape[2]),
+                  ("cam", "", self.feature_shape[0], self.num_identities),
+                  ("classifier", "", self.embed_dim, self.num_identities)]
+        shapes = {}
+        for prefix, index, fan_in, fan_out in layers:
+            shapes[f"{prefix}.w{index}"] = (fan_in, fan_out)
+            shapes[f"{prefix}.b{index}"] = (fan_out,)
+        return shapes
+
 
 @dataclass
 class DisentangledEmbedding:
@@ -81,39 +100,22 @@ class ReidModel:
     so a gradient step taken through any branch moves them all.
     """
 
-    def __init__(self, config: NetworkConfig, seed: int = 0):
+    def __init__(self, config: NetworkConfig, seed: int = 0, params: dict | None = None):
+        """Weights uniform in +-1/sqrt(fan_in) drawn from ``seed`` and zero biases, or
+        the ``params`` arrays wrapped without a copy; a wrong shape is a ShapeError."""
         self.config = config
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
-        c = config
-        plan = [
-            ("backbone.w1", (c.image_size, c.backbone_hidden)),
-            ("backbone.b1", (c.backbone_hidden,)),
-            ("backbone.w2", (c.backbone_hidden, c.feature_size)),
-            ("backbone.b2", (c.feature_size,)),
-            ("separator.w1", (c.feature_size, c.separator_hidden)),
-            ("separator.b1", (c.separator_hidden,)),
-            ("separator.w_id", (c.separator_hidden, c.id_dim)),
-            ("separator.b_id", (c.id_dim,)),
-            ("separator.w_app", (c.separator_hidden, c.app_dim)),
-            ("separator.b_app", (c.app_dim,)),
-            ("generator.w1", (c.embed_dim, c.generator_hidden)),
-            ("generator.b1", (c.generator_hidden,)),
-            ("generator.w2", (c.generator_hidden, c.feature_size)),
-            ("generator.b2", (c.feature_size,)),
-            ("generator.w3", (c.feature_size, c.image_shape[1] * c.image_shape[2])),
-            ("generator.b3", (c.image_shape[1] * c.image_shape[2],)),
-            ("cam.w", (c.feature_shape[0], c.num_identities)),
-            ("cam.b", (c.num_identities,)),
-            ("classifier.w", (c.embed_dim, c.num_identities)),
-            ("classifier.b", (c.num_identities,)),
-        ]
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0))) if params is None else None
         self.params: dict[str, Tensor] = {}
-        for name, shape in plan:
-            if len(shape) == 1:  # biases start at zero
+        for name, shape in config.parameter_shapes().items():
+            if params is not None:
+                data = params[name]
+            elif len(shape) == 1:  # biases start at zero
                 data = np.zeros(shape)
             else:
                 bound = 1.0 / np.sqrt(shape[0])
                 data = rng.uniform(-bound, bound, size=shape)
+            if data.shape != shape:
+                raise ShapeError(f"parameter {name!r} has shape {data.shape}, the config gives {shape}")
             self.params[name] = Tensor(data, requires_grad=True)
 
     def _dense(self, x: Tensor, prefix: str, index: str, act: str = "none") -> Tensor:

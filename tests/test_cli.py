@@ -167,6 +167,12 @@ def _edit_manifest(archive_dir, key, value=None):
         handle.write("\n".join(lines) + "\n")
 
 
+def _manifest_value(archive_dir, key):
+    with open(os.path.join(archive_dir, "manifest.txt")) as handle:
+        lines = handle.read().splitlines()
+    return next(line.split("=", 1)[1] for line in lines if line.startswith(key + "="))
+
+
 def _eval_error(ckpt, data_dir, capsys):
     """Run eval, expect exit 1 and return the one-line error message."""
     assert main(["eval", "--ckpt", ckpt, "--data", data_dir]) == 1
@@ -238,6 +244,17 @@ def test_train_on_nan_images_stops_at_first_step(tmp_path, capsys):
     assert main(["train", "--config", config_path]) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: step 0: non-finite cls_loss") and "\n" not in err
+
+
+@pytest.mark.parametrize("shift", [-8, 8], ids=["overlap", "gap"])
+def test_checkpoint_extents_not_tiling_the_blob_is_error(tmp_path, capsys, shift):
+    """A tensor in the middle of the blob moved 8 bytes onto its neighbour
+    or 8 bytes past it: every extent still lies inside the blob."""
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    shape, offset = _manifest_value(ckpt, "tensor.param/cam.w").split(":")
+    _edit_manifest(ckpt, "tensor.param/cam.w", f"{shape}:{int(offset) + shift}")
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert ckpt in err and "'param/cam.w'" in err
 
 
 def test_dataset_missing_key_is_error(tmp_path, capsys):

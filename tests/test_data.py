@@ -289,3 +289,42 @@ def test_archive_rejects_trailing_blob_bytes(tmp_path):
     (tmp_path / "empty" / "data.blob").write_bytes(bytes(1))
     with pytest.raises(ArchiveError):
         read_archive(tmp_path / "empty")
+
+
+def _three_tensor_archive(path):
+    """x, y and z at bytes 0-32, 32-64 and 64-88 of an 88-byte blob."""
+    write_archive(path, {}, {"x": np.arange(4.0), "y": np.ones((2, 2)), "z": np.arange(3.0)})
+    manifest = path / "manifest.txt"
+    return manifest, manifest.read_text().splitlines()
+
+
+@pytest.mark.parametrize("offset", [24, 40], ids=["overlap", "gap"])
+def test_archive_extents_must_tile_the_blob(tmp_path, offset):
+    """y moved onto x's last value or 8 bytes past x's end: the blob length
+    still matches the furthest extent, but the extents no longer tile."""
+    manifest, lines = _three_tensor_archive(tmp_path / "a")
+    manifest.write_text("\n".join(line.replace("tensor.y=2,2:32", f"tensor.y=2,2:{offset}")
+                                  for line in lines) + "\n")
+    with pytest.raises(ArchiveError) as info:
+        read_archive(tmp_path / "a")
+    assert str(tmp_path / "a") in str(info.value)
+
+
+def test_archive_rejects_a_partial_float_tail(tmp_path):
+    _three_tensor_archive(tmp_path / "a")
+    blob = tmp_path / "a" / "data.blob"
+    blob.write_bytes(blob.read_bytes() + bytes(7))
+    with pytest.raises(ArchiveError) as info:
+        read_archive(tmp_path / "a")
+    assert str(tmp_path / "a") in str(info.value) and "95-byte" in str(info.value)
+
+
+def test_archive_tensor_lines_in_any_order_load_as_views(tmp_path):
+    manifest, lines = _three_tensor_archive(tmp_path / "a")
+    manifest.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+    _, tensors = read_archive(tmp_path / "a")
+    np.testing.assert_array_equal(tensors["x"], np.arange(4.0))
+    np.testing.assert_array_equal(tensors["y"], np.ones((2, 2)))
+    np.testing.assert_array_equal(tensors["z"], np.arange(3.0))
+    # one buffer: each tensor is a writable view of its own extent
+    assert tensors["x"].base is tensors["z"].base is not None and tensors["y"].flags.writeable

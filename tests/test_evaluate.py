@@ -1,5 +1,6 @@
 """Ranking and metric checks, including an independent brute-force
-CMC/mAP oracle."""
+CMC/mAP oracle and bitwise oracles for the in-place ranking and the
+hits-only scoring."""
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from sirmetric.data import DatasetManifest, generate
 from sirmetric.evaluate import (cmc_and_map, evaluate_retrieval,
                                 fuse_embeddings, metrics_json, rank_all,
-                                write_embeddings_csv, write_rankings_csv)
+                                write_embeddings_csv)
 from sirmetric.networks import NetworkConfig, ReidModel
 
 CFG = NetworkConfig(image_shape=(1, 4, 4), feature_shape=(3, 2, 2),
@@ -211,16 +212,7 @@ def test_metrics_json_document():
     assert doc["alpha"] == 0.55
 
 
-def test_rankings_and_embeddings_csv(tmp_path):
-    order = np.array([[1, 0], [0, 1]])
-    distances = np.array([[0.5, 1.5], [0.25, 2.0]])
-    path = tmp_path / "rank.csv"
-    write_rankings_csv(path, order, distances, ["q0", "q1"], ["g0", "g1"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "query_id,rank,gallery_id,distance"
-    assert len(lines) == 5
-    assert lines[1] == "q0,1,g1,0.5"
-
+def test_embeddings_csv(tmp_path):
     emb_path = tmp_path / "emb.csv"
     write_embeddings_csv(emb_path, [7, 8], [0, 1],
                          np.array([[0.1, 0.2], [0.3, 0.4]]),
@@ -229,3 +221,72 @@ def test_rankings_and_embeddings_csv(tmp_path):
     assert lines[0] == "sample_id,label,id_0,id_1,app_0"
     assert len(lines) == 3
     assert lines[1] == "7,0,0.1,0.2,0.5"
+
+
+def _reference_rank_all(queries, gallery):
+    """The plain vectorized ranking: the squared-norm expression with its
+    temporaries, an argsort, a gather, and a stable re-sort of rows whose
+    float differences are not all positive."""
+    squared = ((queries * queries).sum(axis=1)[:, None] + (gallery * gallery).sum(axis=1)
+               - 2.0 * (queries @ gallery.T))
+    distances = np.sqrt(np.maximum(squared, 0.0))
+    order = np.argsort(distances, axis=1)
+    ranked = np.take_along_axis(distances, order, axis=1)
+    unstable = ~np.all(np.diff(ranked, axis=1) > 0.0, axis=1)
+    if unstable.any():
+        order[unstable] = np.argsort(distances[unstable], axis=1, kind="stable")
+        ranked = np.take_along_axis(distances, order, axis=1)
+    return order, ranked
+
+
+def _reference_cmc_and_map(rank_indices, query_labels, gallery_labels):
+    """The plain vectorized scoring over the full (Q, N_g) relevance
+    matrix: (cmc, mean AP, queries without a match)."""
+    matches = gallery_labels[rank_indices] == query_labels[:, None]
+    hits = np.cumsum(matches, axis=1)
+    cmc = (hits > 0).mean(axis=0)
+    rows, cols = np.nonzero(matches)
+    precision_sums = np.bincount(rows, weights=hits[rows, cols] / (cols + 1),
+                                 minlength=matches.shape[0])
+    total_relevant = hits[:, -1]
+    matched = total_relevant > 0
+    aps = precision_sums[matched] / total_relevant[matched]
+    return cmc, float(aps.mean()) if aps.size else 0.0, int((~matched).sum())
+
+
+def _oracle_sets():
+    """Random normal sets, integer grids full of exact ties, NaNs in one
+    query and in one gallery vector, and Q = 1 and G = 1."""
+    rng = np.random.default_rng(11)
+    sets = [("normal", rng.normal(size=(120, 28)), rng.normal(size=(200, 28))),
+            ("normal-wide", rng.normal(size=(7, 300)), rng.normal(size=(40, 300))),
+            ("grid", rng.integers(0, 3, size=(64, 3)).astype(float),
+             rng.integers(0, 3, size=(300, 3)).astype(float))]
+    queries, gallery = rng.normal(size=(30, 5)), rng.normal(size=(50, 5))
+    queries[4, 2] = np.nan
+    sets.append(("nan-query", queries, gallery))
+    gallery = gallery.copy()
+    gallery[17, 0] = np.nan
+    sets.append(("nan-gallery", rng.normal(size=(30, 5)), gallery))
+    sets.append(("q1", rng.normal(size=(1, 6)), rng.normal(size=(25, 6))))
+    sets.append(("g1", rng.normal(size=(25, 6)), rng.normal(size=(1, 6))))
+    sets.append(("q1-g1", rng.normal(size=(1, 6)), rng.normal(size=(1, 6))))
+    return [pytest.param(queries, gallery, id=name) for name, queries, gallery in sets]
+
+
+@pytest.mark.parametrize("queries,gallery", _oracle_sets())
+def test_rank_all_and_scores_match_the_plain_formulas_bitwise(queries, gallery):
+    order, ranked = rank_all(queries, gallery)
+    ref_order, ref_ranked = _reference_rank_all(queries, gallery)
+    assert np.array_equal(order, ref_order)
+    assert ranked.shape == ref_ranked.shape and ranked.tobytes() == ref_ranked.tobytes()
+    rng = np.random.default_rng(12)
+    for num_labels in (2, 5, 50):   # from most queries matched to many unmatched
+        q_labels = rng.integers(0, num_labels, size=len(queries))
+        g_labels = rng.integers(0, num_labels, size=len(gallery))
+        result = cmc_and_map(order, q_labels, g_labels)
+        cmc, mean_ap, unmatched = _reference_cmc_and_map(ref_order, q_labels, g_labels)
+        assert result.cmc.dtype == cmc.dtype and result.cmc.tobytes() == cmc.tobytes()
+        assert repr(result.mean_ap) == repr(mean_ap)
+        assert result.num_queries_without_match == unmatched
+        assert (result.num_queries, result.num_gallery) == order.shape

@@ -169,3 +169,14 @@ def test_weight_sharing_single_parameter_set():
     g1 = model.backbone_forward(np.ones((1, 1, 4, 4)))
     assert np.any(g1.data != f1.data)
     model.params["backbone.w1"].data[:] = before
+
+
+def test_model_wraps_given_parameters_and_checks_their_shapes():
+    drawn = ReidModel(SMALL, seed=0)
+    params = {name: np.full(p.data.shape, 0.5) for name, p in drawn.params.items()}
+    model = ReidModel(SMALL, params=params)
+    assert list(model.params) == list(SMALL.parameter_shapes()) == list(params)
+    assert all(model.params[name].data is params[name] for name in params)
+    params["cam.w"] = np.zeros((1, 1))
+    with pytest.raises(ShapeError, match="'cam.w'"):
+        ReidModel(SMALL, params=params)

@@ -10,6 +10,7 @@ from sirmetric.checkpoint import load_checkpoint, save_checkpoint
 from sirmetric.clusters import ClusterRegistry
 from sirmetric.config import RunConfig
 from sirmetric.data import DatasetManifest, generate
+from sirmetric.evaluate import evaluate_retrieval, metrics_json
 from sirmetric.losses import LossWeights
 from sirmetric.networks import NetworkConfig, ReidModel
 from sirmetric.training import LOG_HEADER, Trainer, read_loss_log
@@ -147,9 +148,9 @@ def test_trainer_epoch_refresh_schedule(tmp_path):
 
 def test_loss_log_digest_is_frozen(tmp_path):
     """The loss logs and final checkpoint blobs of a 30-step RunConfig() run
-    and of the tiny run are pinned to the bit.  The blob holds the Adam
-    moments, which keep a gradient's last bits that the loss log may round
-    away.  The digests were taken before the autodiff fusions (dense layers,
+    and of the tiny run, and the first run's eval, are pinned to the bit.
+    The blob holds the Adam moments, which keep a gradient's last bits that
+    the loss log may round away.  The digests were taken before the autodiff fusions (dense layers,
     the triplet / cross-entropy / L1 nodes, the flat Adam), on numpy 2.4.6
     with scipy-openblas 0.3.31 (x86-64, Haswell kernels) and Python 3.11; a
     change that moves one rounding fails here.  Another numpy or BLAS build
@@ -168,6 +169,17 @@ def test_loss_log_digest_is_frozen(tmp_path):
         for path, expected in ((out / "loss_log.csv", log_digest),
                                (out / "ckpt_final" / "data.blob", blob_digest)):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, (name, path.name)
+    # The eval of the 30-step run on its dataset's query/gallery split: the
+    # gallery order, the ranked distances and the metrics document, pinned
+    # before the in-place ranking and the hits-only scoring.
+    config = runs["runconfig"][0]
+    model, _, _, _ = load_checkpoint(tmp_path / "default" / "ckpt_final")
+    result, order, distances = evaluate_retrieval(generate(config.data), model)
+    digests = [hashlib.sha256(raw).hexdigest() for raw in
+               (order.tobytes(), distances.tobytes(), metrics_json(result, 0.55).encode())]
+    assert digests == ["bb9f469e561e5dd6b02f1b92c307045e031e8ab2964e9cce006628045dbb707a",
+                       "cbe654a17d1433c1abef8685f3d165c2a70861e7f1d4a092d15b74825f65aaa9",
+                       "6365456e3c5e6a8da5f214131f4b92f039d265b4a235048c85a09dab2aea3a56"]
 
 
 def test_loaded_checkpoint_parameters_move_on_step(tmp_path):
