@@ -131,16 +131,19 @@ def read_archive(dir_path):
         raise ArchiveError(f"missing or unsupported format tag in {manifest_path}")
     for line in lines[1:]:
         if "=" not in line:
-            raise ArchiveError(f"malformed manifest line: {line!r}")
+            raise ArchiveError(f"archive {dir_path}: malformed manifest line: {line!r}")
         key, value = line.split("=", 1)
         if key.startswith("tensor."):
             name = key[len("tensor."):]
             try:
                 shape_part, offset_part = value.rsplit(":", 1)
-                shape = tuple(int(d) for d in shape_part.split(",") if d != "")
+                shape = tuple(int(d) for d in shape_part.split(",")) if shape_part else ()
                 offset = int(offset_part)
+                if min(shape, default=0) < 0:
+                    raise ValueError("negative dimension")
             except ValueError:
-                raise ArchiveError(f"malformed tensor entry: {line!r}") from None
+                raise ArchiveError(f"archive {dir_path}: malformed tensor entry for "
+                                   f"{name!r}: {line!r}") from None
             entries.append((offset, math.prod(shape), name, shape))
         else:
             meta[key] = value

@@ -16,12 +16,9 @@ from .blobio import parse_bool
 from .checkpoint import load_checkpoint
 from .config import load_config, with_overrides
 from .data import DatasetManifest, generate, load_dataset, save_dataset
-from .evaluate import (evaluate_retrieval, fuse_embeddings, metrics_json,
-                       write_embeddings_csv)
+from .evaluate import evaluate_retrieval, metrics_json, write_embeddings_csv
 from .gradcheck import gradcheck_all
-from .networks import ReidModel
 from .training import Trainer
-from . import autodiff as ad
 
 
 def cmd_train(args) -> int:
@@ -81,11 +78,8 @@ def cmd_synth(args) -> int:
 def cmd_export_embeddings(args) -> int:
     model, _, _, _ = load_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
-    with ad.no_grad():
-        features = model.backbone_forward(dataset.images)
-        emb = model.separator_forward(features)
     write_embeddings_csv(args.out, np.arange(len(dataset.labels)), dataset.labels,
-                         emb.id_feat.data, emb.app_feat.data)
+                         *model.embed(dataset.images)[:2])
     print(f"wrote {len(dataset.labels)} embedding rows to {args.out}")
     return 0
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .networks import ReidModel
 
 
@@ -31,22 +30,21 @@ class ClusterRegistry:
         return (epoch - self.last_refresh_epoch) >= self.refresh_period_epochs
 
     def refresh(self, images: np.ndarray, labels: np.ndarray, model: ReidModel,
-                epoch: int, batch_size: int = 64) -> None:
-        """Recompute every center as the mean id embedding over the whole
-        training split, model in eval mode (no dropout, no graph)."""
-        labels = np.asarray(labels)
-        present = np.unique(labels)
-        missing = sorted(set(range(model.config.num_identities)) - set(int(v) for v in present))
+                epoch: int) -> None:
+        """Recompute every center as the mean id embedding (``model.embed``) over
+        the whole training split: one sum over each identity's rows, in split order,
+        padded with -0.0 (x + -0.0 is x), so each center has the bits of the masked
+        mean (for id_dim 1 only with equal group sizes: numpy sums one column pairwise)."""
+        present, groups, counts = np.unique(labels, return_inverse=True, return_counts=True)
+        missing = sorted(set(range(model.config.num_identities)) - set(present.tolist()))
         if missing:
             raise ValueError(f"identities without training samples: {missing}")
-        embeddings = np.empty((len(labels), model.config.id_dim))
-        with ad.no_grad():
-            for start in range(0, len(labels), batch_size):
-                chunk = images[start:start + batch_size]
-                features = model.backbone_forward(chunk)
-                embeddings[start:start + batch_size] = model.separator_forward(features).id_feat.data
-        self.set_centers({int(i): embeddings[labels == i].mean(axis=0) for i in present},
-                         epoch)
+        embeddings = model.embed(images)[0]
+        order = np.argsort(groups, kind="stable")
+        slots = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        stack = np.full((len(counts), counts.max(), embeddings.shape[1]), -0.0)
+        stack[groups[order], slots] = embeddings[order]
+        self.set_centers(dict(zip(present.tolist(), stack.sum(axis=1) / counts[:, None])), epoch)
 
     def centers_matrix(self) -> np.ndarray:
         """Centers stacked in identity order, shape (num_identities, d_I).

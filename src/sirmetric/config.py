@@ -152,9 +152,5 @@ def save_config(config: RunConfig, path) -> None:
 def with_overrides(config: RunConfig, seed: int | None = None,
                    out_dir: str | None = None) -> RunConfig:
     """CLI-level overrides for --seed and --out."""
-    updates = {}
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if out_dir is not None:
-        updates["out_dir"] = str(out_dir)
+    updates = {key: value for key, value in (("seed", seed), ("out_dir", out_dir)) if value is not None}
     return replace(config, **updates) if updates else config

@@ -149,8 +149,8 @@ def to_grayscale(images: np.ndarray) -> np.ndarray:
 
 
 def horizontal_flip(image: np.ndarray) -> np.ndarray:
-    """Reverse the width axis; works on single images or batches."""
-    return np.asarray(image)[..., ::-1].copy()
+    """Reverse the width axis, as a view; works on single images or batches."""
+    return np.asarray(image)[..., ::-1]
 
 
 def randomly_grayscale(images: np.ndarray, rng, probability: float = 0.1):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import Dataset, horizontal_flip
 from .networks import ReidModel
 
@@ -36,27 +35,13 @@ class RetrievalResult:
 
 
 def fuse_embeddings(images: np.ndarray, model: ReidModel, alpha: float = 0.55,
-                    use_flip: bool = True, batch_size: int = 64) -> np.ndarray:
-    """Batch of images -> (N, d_I + d_A + C_b) fused vectors, eval mode."""
-    # fixed 64-row chunks: a product's row count can move embedding bits (a 4,000-row pass does)
-    images = np.asarray(images, dtype=np.float64)
-    out = np.empty((images.shape[0],
-                    model.config.embed_dim + model.config.feature_shape[0]))
-    with ad.no_grad():
-        for start in range(0, images.shape[0], batch_size):
-            chunk = images[start:start + batch_size]
-            fused = _fuse_chunk(chunk, model, alpha)
-            if use_flip:
-                fused = 0.5 * (fused + _fuse_chunk(horizontal_flip(chunk), model, alpha))
-            out[start:start + batch_size] = fused
-    return out
-
-
-def _fuse_chunk(chunk: np.ndarray, model: ReidModel, alpha: float) -> np.ndarray:
-    features = model.backbone_forward(chunk)
-    emb = model.separator_forward(features)
-    pooled = features.data.mean(axis=(2, 3))
-    return np.concatenate([emb.id_feat.data, emb.app_feat.data, alpha * pooled], axis=1)
+                    use_flip: bool = True) -> np.ndarray:
+    """Batch of images -> (N, d_I + d_A + C_b) fused vectors, from the
+    model's eval-mode ``embed`` pass."""
+    views = (images, horizontal_flip(images)) if use_flip else (images,)
+    fused = [np.concatenate([id_feat, app_feat, alpha * features.mean(axis=(2, 3))], axis=1)
+             for id_feat, app_feat, features in map(model.embed, views)]
+    return 0.5 * (fused[0] + fused[1]) if use_flip else fused[0]
 
 
 def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
@@ -78,16 +63,25 @@ def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
     del cross
     np.maximum(distances, 0.0, out=distances)
     np.sqrt(distances, out=distances)
-    order = np.argsort(distances, axis=1)
-    # On a strictly increasing row the order is unique and the sorted values
-    # are distances[order] bit for bit.  The default sort is not stable: rows
-    # holding an exact tie (or a NaN) are sorted again stably and gathered.
-    ranked = np.sort(distances, axis=1)
-    unstable = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
+    # One row sort of int64 keys: a distance's bits (nonnegative floats order as
+    # their bits) with the low bits replaced by the gallery index, then the
+    # distances put in that order in place, 64 rows at a time.  A row that does
+    # not strictly increase is sorted again stably: by value, ties by index.
+    mask = (1 << (gallery.shape[0] - 1).bit_length()) - 1
+    order = distances.view(np.int64) & ~mask
+    order |= np.arange(gallery.shape[0])
+    order.sort(axis=1)
+    order &= mask
+    row_starts = np.arange(0, distances.size, gallery.shape[0])[:, None]
+    for start in range(0, len(order), 64):
+        rows = slice(start, start + 64)
+        distances[rows] = np.take(distances, order[rows] + row_starts[rows])
+    unstable = ~np.all(distances[:, 1:] > distances[:, :-1], axis=1)
     if unstable.any():
-        order[unstable] = np.argsort(distances[unstable], axis=1, kind="stable")
-        ranked[unstable] = np.take_along_axis(distances[unstable], order[unstable], axis=1)
-    return order, ranked
+        perm = np.lexsort((order[unstable], distances[unstable]))
+        order[unstable] = np.take_along_axis(order[unstable], perm, axis=1)
+        distances[unstable] = np.take_along_axis(distances[unstable], perm, axis=1)
+    return order, distances
 
 
 def cmc_and_map(rank_indices: np.ndarray, query_labels: np.ndarray,
@@ -103,7 +97,12 @@ def cmc_and_map(rank_indices: np.ndarray, query_labels: np.ndarray,
     gallery_labels = np.asarray(gallery_labels)
     if gallery_labels.size == 0:
         raise ValueError("empty gallery")
-    matches = np.take(gallery_labels, rank_indices) == query_labels[:, None]
+    if rank_indices.shape != (len(query_labels), len(gallery_labels)):
+        raise ValueError(f"rank indices {rank_indices.shape} do not match the label counts")
+    matches = np.empty(rank_indices.shape, dtype=bool)
+    for start in range(0, len(matches), 64):   # no (Q, N_g) label matrix
+        rows = slice(start, start + 64)
+        matches[rows] = np.take(gallery_labels, rank_indices[rows]) == query_labels[rows, None]
     num_queries, num_gallery = matches.shape
     # hits in row-major order: a hit's count so far is its ordinal in its row
     rows, cols = np.divmod(np.flatnonzero(matches), num_gallery)
@@ -125,10 +124,8 @@ def evaluate_retrieval(dataset: Dataset, model: ReidModel, alpha: float = 0.55,
                        use_flip: bool = True):
     """Embed the query and gallery splits, rank, and score.  Returns
     (RetrievalResult, rank index matrix, ranked distance matrix)."""
-    query_vecs = fuse_embeddings(dataset.images[dataset.query_idx], model,
-                                 alpha, use_flip)
-    gallery_vecs = fuse_embeddings(dataset.images[dataset.gallery_idx], model,
-                                   alpha, use_flip)
+    query_vecs, gallery_vecs = (fuse_embeddings(dataset.images[split], model, alpha, use_flip)
+                                for split in (dataset.query_idx, dataset.gallery_idx))
     order, distances = rank_all(query_vecs, gallery_vecs)
     result = cmc_and_map(order, dataset.labels[dataset.query_idx],
                          dataset.labels[dataset.gallery_idx])

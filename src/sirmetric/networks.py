@@ -176,6 +176,17 @@ class ReidModel:
         _, height, width = self.config.image_shape
         return tap, image.reshape((batch, 1, height, width))
 
+    def embed(self, images) -> tuple:
+        """Eval-mode pass (no dropout, no graph): (id, appearance, backbone feature)
+        arrays, in fixed 256-row chunks, as BLAS rounding can depend on row count."""
+        parts = []
+        with ad.no_grad():
+            for start in range(0, max(len(images), 1), 256):
+                features = self.backbone_forward(images[start:start + 256])
+                emb = self.separator_forward(features)
+                parts.append((emb.id_feat.data, emb.app_feat.data, features.data))
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
     def cam_logits(self, features: Tensor) -> Tensor:
         """Feature maps -> class logits via global average pooling + dense."""
         return self._dense(features.mean(axis=(2, 3)), "cam", "")

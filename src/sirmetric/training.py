@@ -66,13 +66,14 @@ class Trainer:
     @classmethod
     def from_checkpoint(cls, ckpt_dir, config: RunConfig,
                         dataset: Dataset | None = None) -> "Trainer":
-        """Resume: restore parameters, optimizer moments, centers, and the
-        step counter; the run config supplies schedule and sampling."""
+        """Resume: the checkpoint supplies the state (parameters, Adam moments and
+        t, centers, step); the run config all else, all four Adam settings too."""
         model, optimizer, registry, meta = load_checkpoint(ckpt_dir)
         if model.config != config.network:
             raise ConfigError("checkpoint network configuration does not match "
                               "the run config")
-        optimizer.lr = config.learning_rate
+        optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.epsilon = (
+            config.learning_rate, config.beta1, config.beta2, config.epsilon)
         return cls(config, dataset=dataset, model=model, optimizer=optimizer,
                    registry=registry, start_step=meta.parse("step", int))
 

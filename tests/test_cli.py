@@ -257,6 +257,24 @@ def test_checkpoint_extents_not_tiling_the_blob_is_error(tmp_path, capsys, shift
     assert ckpt in err and "'param/cam.w'" in err
 
 
+@pytest.mark.parametrize("shape", ["-2,-2", "2,-2", "4,x"])
+def test_checkpoint_bad_tensor_dimensions_name_tensor_and_dir(tmp_path, capsys, shape):
+    """'param/cam.b' holds 4 floats: negative dimensions that multiply to
+    4, a negative count, and a non-integer dimension."""
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    offset = _manifest_value(ckpt, "tensor.param/cam.b").split(":")[1]
+    _edit_manifest(ckpt, "tensor.param/cam.b", f"{shape}:{offset}")
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert ckpt in err and "'param/cam.b'" in err
+
+
+def test_dataset_malformed_manifest_line_names_dir(tmp_path, capsys):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    with open(os.path.join(data_dir, "manifest.txt"), "a") as handle:
+        handle.write("no equals sign\n")
+    assert data_dir in _eval_error(ckpt, data_dir, capsys)
+
+
 def test_dataset_missing_key_is_error(tmp_path, capsys):
     ckpt, data_dir = _trained_run(tmp_path, capsys)
     _edit_manifest(data_dir, "seed")

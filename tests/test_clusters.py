@@ -11,7 +11,9 @@ from sirmetric.networks import DisentangledEmbedding, NetworkConfig, ReidModel
 
 class _PassthroughModel:
     """Stub whose id embedding is the flattened input image, for exact-mean
-    oracles."""
+    oracles; the chunked eval pass is ReidModel's own."""
+
+    embed = ReidModel.embed
 
     def __init__(self, num_identities, id_dim):
         self.config = SimpleNamespace(num_identities=num_identities, id_dim=id_dim)
@@ -32,6 +34,24 @@ def test_center_is_mean_of_class_embeddings():
     registry.refresh(images, labels, model, epoch=0)
     np.testing.assert_array_equal(registry.centers[0], [0.5, 0.5])
     np.testing.assert_array_equal(registry.centers[1], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("id_dim,sizes", [(16, (1, 7, 12, 30, 9)), (3, (20, 8, 2)),
+                                           (1, (12, 12, 12))],
+                         ids=["unequal-16", "unequal-3", "equal-1"])
+def test_grouped_centers_equal_masked_means_bitwise(id_dim, sizes):
+    """Shuffled labels with unequal group sizes (or a one-column embedding
+    with equal sizes): each center has the bits of the masked mean."""
+    rng = np.random.default_rng(id_dim)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    images = rng.normal(size=(len(labels), id_dim)) * rng.choice([1e-3, 1.0, 1e6], size=(len(labels), 1))
+    images[rng.random(images.shape) < 0.05] = -0.0
+    images[labels == np.argmin(sizes), 0] = -0.0   # a column of -0.0 in a padded group
+    registry = ClusterRegistry()
+    registry.refresh(images, labels, _PassthroughModel(len(sizes), id_dim), epoch=0)
+    for identity in range(len(sizes)):
+        expected = images[labels == identity].mean(axis=0)
+        assert registry.centers[identity].tobytes() == expected.tobytes(), identity
 
 
 def test_single_sample_class_center_equals_embedding():

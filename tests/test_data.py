@@ -310,6 +310,20 @@ def test_archive_extents_must_tile_the_blob(tmp_path, offset):
     assert str(tmp_path / "a") in str(info.value)
 
 
+@pytest.mark.parametrize("entry", ["-2,-2:0", "4,-1:0", "-4:0", "2,,2:0", "2,x:0", "4"],
+                         ids=["negatives-tile", "one-negative", "negative", "empty-dim",
+                              "junk-dim", "no-offset"])
+def test_archive_rejects_a_malformed_tensor_line(tmp_path, entry):
+    """x holds 4 floats; every line is bad, and "-2,-2" multiplies to 4, so
+    it tiles the blob and used to fail later, in reshape, naming nothing."""
+    write_archive(tmp_path / "a", {}, {"x": np.arange(4.0)})
+    manifest = tmp_path / "a" / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("tensor.x=4:0", f"tensor.x={entry}"))
+    with pytest.raises(ArchiveError) as info:
+        read_archive(tmp_path / "a")
+    assert str(tmp_path / "a") in str(info.value) and "'x'" in str(info.value)
+
+
 def test_archive_rejects_a_partial_float_tail(tmp_path):
     _three_tensor_archive(tmp_path / "a")
     blob = tmp_path / "a" / "data.blob"

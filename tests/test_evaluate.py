@@ -1,11 +1,16 @@
 """Ranking and metric checks, including an independent brute-force
-CMC/mAP oracle and bitwise oracles for the in-place ranking and the
-hits-only scoring."""
+CMC/mAP oracle, bitwise oracles for the packed-key ranking and the
+hits-only scoring, and frozen digests of the chunked embedding pass."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sirmetric.clusters import ClusterRegistry
 from sirmetric.data import DatasetManifest, generate
 from sirmetric.evaluate import (cmc_and_map, evaluate_retrieval,
                                 fuse_embeddings, metrics_json, rank_all,
@@ -129,6 +134,13 @@ def test_cmc_monotone_and_bounds():
 def test_empty_gallery_raises():
     with pytest.raises(ValueError):
         cmc_and_map(np.zeros((1, 0), dtype=int), np.array([0]), np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 2), (1, 4)], ids=["extra-row", "short-row", "long-row"])
+def test_cmc_rejects_rank_indices_that_disagree_with_the_labels(shape):
+    """One query and three gallery labels: a ranking of another shape."""
+    with pytest.raises(ValueError):
+        cmc_and_map(np.zeros(shape, dtype=int), np.array([0]), np.array([0, 1, 0]))
 
 
 def _brute_force_cmc_map(query_vecs, gallery_vecs, q_labels, g_labels):
@@ -271,9 +283,33 @@ def _oracle_sets():
     sets.append(("q1", rng.normal(size=(1, 6)), rng.normal(size=(25, 6))))
     sets.append(("g1", rng.normal(size=(25, 6)), rng.normal(size=(1, 6))))
     sets.append(("q1-g1", rng.normal(size=(1, 6)), rng.normal(size=(1, 6))))
+    sets += _key_collision_sets(rng)
     return [pytest.param(queries, gallery, id=name) for name, queries, gallery in sets]
 
 
+def _key_collision_sets(rng):
+    """One-dimensional galleries of G values in [1, 4) ranked from the
+    queries 0.0, -0.0 and 0.5, so the distances are the values themselves
+    (or the values less 0.5, exactly).  Gallery items 0 and 1 differ only in
+    the lowest mantissa bit, which the ranking keys overwrite with the index:
+    "reversed" puts the larger value first (the key order is wrong and the
+    row must take the stable path), "in-order" the smaller (the key order is
+    right), and "in-order" also overflows one more item to a +inf distance.
+    A -0.0 distance cannot come out of the expansion; -0.0 enters as a query."""
+    sets = []
+    queries = np.array([[0.0], [-0.0], [0.5]])
+    low, high = 1.5, np.nextafter(1.5, 2.0)
+    for size in (1, 2, 1023, 1024, 1025):
+        for name, pair in (("reversed", (high, low)), ("in-order", (low, high))):
+            gallery = rng.uniform(1.0, 4.0, size=(size, 1))
+            gallery[:2, 0] = pair[:size]
+            if name == "in-order" and size > 2:
+                gallery[-1, 0] = 1e200
+            sets.append((f"keys-G{size}-{name}", queries, gallery))
+    return sets
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and overflow sets
 @pytest.mark.parametrize("queries,gallery", _oracle_sets())
 def test_rank_all_and_scores_match_the_plain_formulas_bitwise(queries, gallery):
     order, ranked = rank_all(queries, gallery)
@@ -290,3 +326,50 @@ def test_rank_all_and_scores_match_the_plain_formulas_bitwise(queries, gallery):
         assert repr(result.mean_ap) == repr(mean_ap)
         assert result.num_queries_without_match == unmatched
         assert (result.num_queries, result.num_gallery) == order.shape
+
+
+def _stable_argsort_oracle(queries, gallery):
+    """The plain expression's distances, sorted by a stable argsort."""
+    squared = ((queries * queries).sum(axis=1)[:, None] + (gallery * gallery).sum(axis=1)
+               - 2.0 * (queries @ gallery.T))
+    distances = np.sqrt(np.maximum(squared, 0.0))
+    order = np.argsort(distances, axis=1, kind="stable")
+    return order, np.take_along_axis(distances, order, axis=1)
+
+
+# values one or a few ulps apart (key collisions), both zeros, an overflow
+# to +inf, and the non-finite values themselves
+_SPECIAL = [0.0, -0.0, 1.5, float(np.nextafter(1.5, 2.0)), 1.5 + 2 ** -51, 1.5 + 3 * 2 ** -52,
+            2.0, 1e200, -1e200, np.inf, -np.inf, np.nan]
+_ELEMENTS = st.one_of(st.sampled_from(_SPECIAL), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_rank_all_matches_the_stable_argsort_oracle(data):
+    num_gallery = data.draw(st.integers(1, 40), label="G")
+    dim = data.draw(st.integers(1, 3), label="dim")
+    queries = data.draw(arrays(np.float64, (data.draw(st.integers(1, 4)), dim), elements=_ELEMENTS))
+    gallery = data.draw(arrays(np.float64, (num_gallery, dim), elements=_ELEMENTS))
+    with np.errstate(invalid="ignore", over="ignore"):
+        order, ranked = rank_all(queries, gallery)
+        ref_order, ref_ranked = _stable_argsort_oracle(queries, gallery)
+    assert order.dtype == ref_order.dtype and np.array_equal(order, ref_order)
+    assert ranked.tobytes() == ref_ranked.tobytes()
+
+
+def test_fused_embeddings_and_centers_across_chunk_boundaries_are_frozen():
+    """700 fused vectors and the centers of a 100-identity, 1,200-image
+    train split, both pinned to the digests of the former 64-row chunks, so
+    the 256-row chunks of ReidModel.embed are shown not to move a bit (same
+    numpy/BLAS caveat as test_training.py::test_loss_log_digest_is_frozen)."""
+    model = ReidModel(NetworkConfig(num_identities=100), seed=5)
+    dataset = generate(DatasetManifest(num_identities=100, seed=5))
+    fused = fuse_embeddings(dataset.images[:700], model)
+    registry = ClusterRegistry()
+    registry.refresh(dataset.images[dataset.train_idx], dataset.labels[dataset.train_idx],
+                     model, epoch=0)
+    digests = [hashlib.sha256(array.tobytes()).hexdigest()
+               for array in (fused, registry.centers_matrix())]
+    assert digests == ["f30fbc98692de1cdfa511cd0e3a5d53a41cb0833decee1e555722870679595c8",
+                       "35e4d3188219491a28ba10d7fd225b846a1732fa61aca960ee4236ba133fb9ad"]

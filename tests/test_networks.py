@@ -180,3 +180,22 @@ def test_model_wraps_given_parameters_and_checks_their_shapes():
     params["cam.w"] = np.zeros((1, 1))
     with pytest.raises(ShapeError, match="'cam.w'"):
         ReidModel(SMALL, params=params)
+
+
+def test_embed_returns_the_eval_pass_as_arrays_in_256_row_chunks():
+    cfg = NetworkConfig(image_shape=(1, 4, 4), feature_shape=(3, 2, 2), id_dim=4,
+                        app_dim=2, num_identities=3, id_dropout=0.5)
+    model = ReidModel(cfg, seed=3)
+    images = np.random.default_rng(3).uniform(size=(600, 1, 4, 4))
+    id_feat, app_feat, features = model.embed(images)
+    assert (id_feat.shape, app_feat.shape, features.shape) == ((600, 4), (600, 2), (600, 3, 2, 2))
+    # chunk by chunk, the plain forward passes (no dropout in eval mode)
+    for start in range(0, 600, 256):
+        chunk = model.backbone_forward(images[start:start + 256])
+        emb = model.separator_forward(chunk)
+        assert np.array_equal(features[start:start + 256], chunk.data)
+        assert np.array_equal(id_feat[start:start + 256], emb.id_feat.data)
+        assert np.array_equal(app_feat[start:start + 256], emb.app_feat.data)
+    assert all(type(array) is np.ndarray for array in (id_feat, app_feat, features))
+    empty = model.embed(np.zeros((0, 1, 4, 4)))
+    assert [array.shape for array in empty] == [(0, 4), (0, 2), (0, 3, 2, 2)]

@@ -138,6 +138,27 @@ def test_resume_in_same_dir_keeps_loss_log(tmp_path):
     assert (tmp_path / "run" / "loss_log.csv").read_bytes() == expected
 
 
+def test_resume_takes_every_adam_setting_from_the_run_config(tmp_path):
+    """The checkpoint supplies Adam's state (t and the moments), the run
+    config its four settings, which the next checkpoint then records."""
+    Trainer(_tiny_config(tmp_path, seed=11, epochs=1)).run()
+    ckpt = tmp_path / "run" / "ckpt_final"
+    settings = dict(learning_rate=0.001, beta1=0.5, beta2=0.99, epsilon=1e-6)
+    resumed = Trainer.from_checkpoint(ckpt, _tiny_config(tmp_path / "b", seed=11, **settings))
+    optimizer = resumed.optimizer
+    assert (optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.epsilon) == (
+        0.001, 0.5, 0.99, 1e-6)
+    _, stored, _, _ = load_checkpoint(ckpt)
+    assert optimizer.t == stored.t == 3
+    for name in stored.m:
+        assert np.array_equal(optimizer.m[name], stored.m[name])
+        assert np.array_equal(optimizer.v[name], stored.v[name])
+    resumed.run()
+    _, _, _, meta = load_checkpoint(tmp_path / "b" / "run" / "ckpt_final")
+    assert [meta[f"adam.{key}"] for key in ("learning_rate", "beta1", "beta2", "epsilon")] == [
+        "0.001", "0.5", "0.99", "1e-06"]
+
+
 def test_trainer_epoch_refresh_schedule(tmp_path):
     config = _tiny_config(tmp_path, epochs=3, refresh_period_epochs=2)
     trainer = Trainer(config)
