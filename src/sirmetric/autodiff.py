@@ -67,7 +67,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Dense float64 array with optional gradient-tape participation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_rule", "_spent")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_rule", "_spent", "_owned")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -76,6 +76,7 @@ class Tensor:
         self._parents: tuple = ()
         self._rule = None
         self._spent = False
+        self._owned = None  # a gradient array only this tensor holds
 
     @property
     def shape(self) -> tuple:
@@ -99,6 +100,14 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         # never in place: a stored gradient may be another node's array
         self.grad = grad if self.grad is None else self.grad + grad
+
+    def _accumulate_at(self, index, grad: np.ndarray) -> None:
+        """Add ``grad`` at a basic ``index`` into a gradient array this tensor
+        owns, so slices of one tensor share one zeroed array."""
+        if self.grad is None or self.grad is not self._owned:
+            self.grad = self._owned = (np.zeros_like(self.data) if self.grad is None
+                                       else self.grad.copy())
+        self.grad[index] += grad
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable tensor
@@ -421,19 +430,18 @@ def tensor_sum(a, axis=None) -> Tensor:
 def tensor_mean(a, axis=None) -> Tensor:
     a = _coerce(a)
     data = a.data.mean(axis=axis)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else axis
-        count = int(np.prod([a.data.shape[i] for i in axes]))
+    shape = a.data.shape
+    axes = range(len(shape)) if axis is None else (axis,) if isinstance(axis, int) else axis
+    axes = {i % len(shape) for i in axes}
+    count = int(np.prod([shape[i] for i in axes]))
+    kept = tuple(1 if i in axes else n for i, n in enumerate(shape))  # g's shape, reduced axes kept
     if not _recording(a):
         return Tensor(data)
 
     def rule(g):
-        if axis is None:
-            a._accumulate(np.full(a.data.shape, g / count))
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g / count, axis), a.data.shape).copy())
+        grad = np.empty(shape)
+        grad[...] = np.reshape(g / count, kept)
+        a._accumulate(grad)
 
     return _node(data, (a,), rule)
 
@@ -457,7 +465,8 @@ def _is_basic(index) -> bool:
 
 
 def take(a, index) -> Tensor:
-    """Slicing/indexing; the backward scatters, adding at repeated indices."""
+    """Slicing/indexing; the backward scatters, adding at repeated indices.
+    Basic slices of one tensor scatter into one shared gradient array."""
     a = _coerce(a)
     data = a.data[index]
     if not _recording(a):
@@ -465,12 +474,12 @@ def take(a, index) -> Tensor:
     basic = _is_basic(index)
 
     def rule(g):
-        grad = np.zeros_like(a.data)
         if basic:
-            grad[index] = g
+            a._accumulate_at(index, g)
         else:
+            grad = np.zeros_like(a.data)
             np.add.at(grad, index, g)
-        a._accumulate(grad)
+            a._accumulate(grad)
 
     return _node(np.array(data), (a,), rule)
 
@@ -538,42 +547,108 @@ def dense(x, w, b, act: str = "none") -> Tensor:
     return _node(data, (x, w, b), rule)
 
 
+def _softmax_cross_entropy(z: np.ndarray, target: np.ndarray):
+    """cross_entropy's forward on logit values: (loss, exps, summed)."""
+    if z.ndim != 2 or target.shape != z.shape:
+        raise ShapeError(f"cross_entropy: logits {z.shape} vs target {target.shape}")
+    shift = z.max(axis=1, keepdims=True)
+    exps = np.exp(z - shift)
+    summed = exps.sum(axis=1)
+    return (np.log(summed) + shift.reshape(-1) - (z * target).sum(axis=1)).mean(), exps, summed
+
+
+def _softmax_cross_entropy_grads(g, exps, summed, target):
+    """The logits' two gradient contributions, in the order the chain adds them."""
+    g_rows = np.full(summed.shape, g / summed.size)
+    return exps * (g_rows / summed)[:, None], (-g_rows)[:, None] * target
+
+
 def cross_entropy(logits, target) -> Tensor:
     """Mean over rows of logsumexp(logits) - sum(target * logits); the
     logsumexp subtracts a detached row max, and ``target`` (one-hot rows) is a
     constant."""
     logits = _coerce(logits)
     target = np.asarray(target, dtype=np.float64)
-    z = logits.data
-    if z.ndim != 2 or target.shape != z.shape:
-        raise ShapeError(f"cross_entropy: logits {z.shape} vs target {target.shape}")
-    shift = z.max(axis=1, keepdims=True)
-    exps = np.exp(z - shift)
-    summed = exps.sum(axis=1)
-    data = (np.log(summed) + shift.reshape(-1) - (z * target).sum(axis=1)).mean()
+    data, exps, summed = _softmax_cross_entropy(logits.data, target)
     if not _recording(logits):
         return Tensor(data)
 
     def rule(g):
-        g_rows = np.full(summed.shape, g / summed.size)
-        logits._accumulate(exps * (g_rows / summed)[:, None])
-        logits._accumulate((-g_rows)[:, None] * target)
+        for grad in _softmax_cross_entropy_grads(g, exps, summed, target):
+            logits._accumulate(grad)
 
     return _node(data, (logits,), rule)
 
 
-def mean_abs_error(a, target) -> Tensor:
-    """mean(|a - target|) with a constant ``target``."""
-    a = _coerce(a)
-    diff = a.data - np.asarray(target, dtype=np.float64)
-    data = np.abs(diff).mean()
-    if not _recording(a):
+def center_cross_entropy(x, centers, target) -> Tensor:
+    """cross_entropy over the logits -|x_b - c_k|^2 of (B, d) rows against
+    (K, d) constant centers: the reshape, sub, square, sum and negation of
+    the distance chain and the cross-entropy in one node."""
+    x = _coerce(x)
+    centers = np.asarray(centers, dtype=np.float64)
+    if x.data.ndim != 2 or centers.ndim != 2 or centers.shape[1] != x.data.shape[1]:
+        raise ShapeError(f"center_cross_entropy: rows {x.data.shape} vs centers {centers.shape}")
+    target = np.asarray(target, dtype=np.float64)
+    rows, dim = x.data.shape
+    diff = x.data.reshape(rows, 1, dim) - centers[None, :, :]
+    data, exps, summed = _softmax_cross_entropy((diff * diff).sum(axis=2) * -1.0, target)
+    if not _recording(x):
         return Tensor(data)
 
     def rule(g):
-        a._accumulate(np.full(diff.shape, g / diff.size) * np.sign(diff))
+        first, second = _softmax_cross_entropy_grads(g, exps, summed, target)
+        g_dist = (first + second) * -1.0
+        # the sum's backward materialises the (B, K, d) broadcast: a stride-0
+        # operand would make the product below several times slower
+        g_sq = np.broadcast_to(g_dist[:, :, None], diff.shape).copy()
+        x._accumulate(_unbroadcast(2.0 * diff * g_sq, (rows, 1, dim)).reshape(rows, dim))
 
-    return _node(data, (a,), rule)
+    return _node(data, (x,), rule)
+
+
+def l1_terms(outputs, targets) -> Tensor:
+    """Sum over (output, constant target) pairs of mean(|output - target|),
+    added left to right."""
+    outputs = [_coerce(t) for t in outputs]
+    diffs = [t.data - np.asarray(target, dtype=np.float64)
+             for t, target in zip(outputs, targets, strict=True)]
+    data = None
+    for diff in diffs:
+        term = np.abs(diff).mean()
+        data = term if data is None else data + term
+    if not _recording(*outputs):
+        return Tensor(data)
+
+    def rule(g):
+        for t, diff in zip(outputs, diffs):
+            if t.requires_grad:
+                t._accumulate(np.full(diff.shape, g / diff.size) * np.sign(diff))
+
+    return _node(data, tuple(outputs), rule)
+
+
+def weighted_sum(groups) -> Tensor:
+    """sum_j W_j * (sum_i w_ji * t_ji) over ``groups`` of (W_j, [(t_ji, w_ji),
+    ...]) with float weights; every sum adds left to right."""
+    groups = [(weight, [(_coerce(t), w) for t, w in terms]) for weight, terms in groups]
+    data = None
+    for weight, terms in groups:
+        inner = None
+        for t, w in terms:
+            inner = t.data * w if inner is None else inner + t.data * w
+        data = inner * weight if data is None else data + inner * weight
+    parents = tuple(t for _, terms in groups for t, _ in terms)
+    if not _recording(*parents):
+        return Tensor(data)
+
+    def rule(g):
+        for weight, terms in groups:
+            g_group = g * weight
+            for t, w in terms:
+                if t.requires_grad:
+                    t._accumulate(g_group * w)
+
+    return _node(data, parents, rule)
 
 
 def triplet_hinge(q, p, n, margin: float) -> Tensor:

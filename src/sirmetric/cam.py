@@ -57,7 +57,8 @@ def augment_negative(emb_query: DisentangledEmbedding,
                      emb_negative: DisentangledEmbedding, model: ReidModel,
                      swap_second_appearance: bool = False,
                      emb_positive: DisentangledEmbedding | None = None):
-    """Two generator feature taps: (id_q + app_n, id_n + app_q).
+    """Two generator feature taps: (id_q + app_n, id_n + app_q).  Runs only
+    the generator's tap layers, not its image head.
 
     With ``swap_second_appearance`` the second tap takes the positive's
     appearance instead of the query's (the alternative printed reading of
@@ -72,7 +73,7 @@ def augment_negative(emb_query: DisentangledEmbedding,
     batch = emb_query.id_feat.shape[0]
     ids = ad.concat([emb_query.id_feat, emb_negative.id_feat], axis=0)
     apps = ad.concat([emb_negative.app_feat, second_app], axis=0)
-    taps, _ = model.generator_forward(ids, apps)
+    taps = model.generator_tap(ids, apps).reshape((2 * batch,) + model.config.feature_shape)
     return taps[:batch], taps[batch:]
 
 

@@ -9,6 +9,7 @@ serialize via repr, so parse(serialize(c)) == c bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .blobio import field_table, format_value
@@ -51,8 +52,16 @@ class RunConfig:
             raise ConfigError("batch_size/steps_per_epoch must be >= 1, epochs >= 0")
         if not 0.0 <= self.grayscale_prob <= 1.0:
             raise ConfigError("grayscale_prob must be in [0, 1]")
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{_TOP_KEYS[name]} must be finite and > 0, got {value!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{_TOP_KEYS[name]} must be in [0, 1), got {value!r}")
+        if not math.isfinite(self.eval_alpha):
+            raise ConfigError(f"{_TOP_KEYS['eval_alpha']} must be finite, got {self.eval_alpha!r}")
         if self.data.image_shape != self.network.image_shape:
             raise ConfigError(
                 f"dataset image shape {self.data.image_shape} does not match "

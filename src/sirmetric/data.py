@@ -126,8 +126,10 @@ def sample_triplet(dataset: Dataset, rng) -> tuple:
         raise ValueError("no identity has >= 2 train samples")
     q_idx = eligible[int(rng.integers(len(eligible)))]
     identity = int(dataset.labels[q_idx])
-    same = [i for i in cache["by_id"][identity] if i != q_idx]
-    p_idx = same[int(rng.integers(len(same)))]
+    same = cache["by_id"][identity]
+    # a uniform draw over the identity's other samples: skip the query's slot
+    j = int(rng.integers(len(same) - 1))
+    p_idx = same[j + (j >= same.index(q_idx))]
     others = cache["others"][identity]
     if not others:
         raise ValueError("no negative candidates outside the query identity")

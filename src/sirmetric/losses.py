@@ -7,10 +7,11 @@ Conventions shared by every kernel here:
   i.e. constants during backward;
 - log-sum-exp terms use a detached max shift (same value, same gradient,
   no overflow);
-- the triplet, cross-entropy and L1 terms are each one fused autodiff node.
+- every loss, the weighted total included, is one fused autodiff node.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,10 @@ class LossWeights:
         for name in ("id_weight", "recon_weight", "cls_weight", "triplet_weight",
                      "center_weight", "pos_recon_weight", "neg_recon_weight",
                      "cam_weight", "margin"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                # named by its run-config key
+                raise ValueError(f"loss.{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
@@ -86,13 +89,6 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _pairwise_sq_dist(points: Tensor, centers: np.ndarray) -> Tensor:
-    """(B, d) x (K, d) -> (B, K) squared Euclidean distances; centers are
-    constants."""
-    diff = points.reshape((points.shape[0], 1, points.shape[1])) - centers[None, :, :]
-    return ad.tensor_sum(diff.square(), axis=2)
-
-
 def triplet_loss(batch: TripletBatch, margin: float = 0.9) -> Tensor:
     """Hinge on squared Euclidean id-embedding distances, averaged over the
     batch: mean(max(d(q,p) - d(q,n) + margin, 0))."""
@@ -117,7 +113,7 @@ def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
     if np.any(labels < 0) or np.any(labels >= centers.shape[0]):
         raise ValueError("a present label has no center")
     # cross-entropy over logits -d: mean(d_own + logsumexp(-d))
-    return classification_loss(-_pairwise_sq_dist(id_feat, centers), labels)
+    return ad.center_cross_entropy(id_feat, centers, _one_hot(labels, centers.shape[0]))
 
 
 def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -138,14 +134,11 @@ def cam_classification_loss(cam_logits: Tensor, labels: np.ndarray) -> Tensor:
 def _l1_terms(outputs, targets, what: str) -> Tensor:
     """Sum over (output, target) pairs of mean |output - target|; targets
     are constants."""
-    total = None
+    targets = [np.asarray(target, dtype=np.float64) for target in targets]
     for output, target in zip(outputs, targets):
-        target = np.asarray(target, dtype=np.float64)
         if output.shape != target.shape:
             raise ShapeError(f"{what} {output.shape} vs target {target.shape}")
-        term = ad.mean_abs_error(output, target)
-        total = term if total is None else total + term
-    return total
+    return ad.l1_terms(outputs, targets)
 
 
 def positive_recon_loss(aug_images, gray_query: np.ndarray,
@@ -181,10 +174,10 @@ def total_loss(cls_term: Tensor, triplet_term: Tensor, center_term: Tensor,
                weights: LossWeights) -> Tensor:
     """Weighted sum: id_weight * (cls + triplet + center group) +
     recon_weight * (positive + negative + activation-map group)."""
-    identity_group = (cls_term * weights.cls_weight
-                      + triplet_term * weights.triplet_weight
-                      + center_term * weights.center_weight)
-    recon_group = (pos_recon_term * weights.pos_recon_weight
-                   + neg_recon_term * weights.neg_recon_weight
-                   + cam_term * weights.cam_weight)
-    return identity_group * weights.id_weight + recon_group * weights.recon_weight
+    return ad.weighted_sum([
+        (weights.id_weight, [(cls_term, weights.cls_weight),
+                             (triplet_term, weights.triplet_weight),
+                             (center_term, weights.center_weight)]),
+        (weights.recon_weight, [(pos_recon_term, weights.pos_recon_weight),
+                                (neg_recon_term, weights.neg_recon_weight),
+                                (cam_term, weights.cam_weight)])])

@@ -155,24 +155,29 @@ class ReidModel:
             id_feat = ad.mask_mul(id_feat, keep)
         return DisentangledEmbedding(id_feat, app_feat)
 
-    def generator_forward(self, id_feat: Tensor, app_feat: Tensor):
-        """Embedding pair -> (feature tap (B, C_b, H_b, W_b), image (B, 1, H, W)).
-
-        The tap is the second hidden layer reshaped to the backbone grid;
-        the image head maps it through a sigmoid into [0, 1].
-        """
+    def generator_tap(self, id_feat: Tensor, app_feat: Tensor) -> Tensor:
+        """Embedding pair -> feature tap rows (B, C_b * H_b * W_b): the
+        generator's second hidden layer, a flattened backbone grid."""
         if id_feat.data.ndim != 2 or id_feat.data.shape[1] != self.config.id_dim:
             raise ShapeError(f"generator id input needs (B, {self.config.id_dim}), "
                              f"got {id_feat.data.shape}")
         if app_feat.data.ndim != 2 or app_feat.data.shape[1] != self.config.app_dim:
             raise ShapeError(f"generator appearance input needs (B, {self.config.app_dim}), "
                              f"got {app_feat.data.shape}")
-        batch = id_feat.data.shape[0]
         joined = ad.concat([id_feat, app_feat], axis=1)
         h = self._dense(joined, "generator", "1", "relu")
-        tap_flat = self._dense(h, "generator", "2", "relu")
-        tap = tap_flat.reshape((batch,) + self.config.feature_shape)
-        image = self._dense(tap_flat, "generator", "3", "sigmoid")
+        return self._dense(h, "generator", "2", "relu")
+
+    def generator_forward(self, id_feat: Tensor, app_feat: Tensor):
+        """Embedding pair -> (feature tap (B, C_b, H_b, W_b), image (B, 1, H, W)).
+
+        The tap is generator_tap reshaped to the backbone grid; the image
+        head maps it through a sigmoid into [0, 1].
+        """
+        tap_rows = self.generator_tap(id_feat, app_feat)
+        batch = tap_rows.shape[0]
+        tap = tap_rows.reshape((batch,) + self.config.feature_shape)
+        image = self._dense(tap_rows, "generator", "3", "sigmoid")
         _, height, width = self.config.image_shape
         return tap, image.reshape((batch, 1, height, width))
 

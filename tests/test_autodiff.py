@@ -327,6 +327,21 @@ def test_take_basic_slice_matches_scatter():
     assert np.array_equal(x.grad, y.grad)
 
 
+@pytest.mark.parametrize("slice_first", [True, False])
+def test_slices_scatter_into_a_gradient_no_other_tensor_holds(slice_first):
+    # add hands both operands its own gradient array; a slice of one operand
+    # must not write into the array the other operand holds
+    rng = np.random.default_rng(23)
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    terms = [ad.tensor_sum(a[1:3]), ad.tensor_sum(a[0]), ad.tensor_sum(a + b)]
+    (sum(terms) if slice_first else sum(terms[::-1])).backward()
+    expected = np.ones((4, 3))
+    expected[:3] += 1.0
+    assert np.array_equal(a.grad, expected)
+    assert np.array_equal(b.grad, np.ones((4, 3)))
+
+
 def _reference_adam(params, grads, lr, beta1, beta2, epsilon):
     """The per-parameter update, one parameter at a time."""
     state = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sirmetric import autodiff as ad
 from sirmetric.autodiff import Tensor
 from sirmetric.cam import (augment_negative, augment_positive,
                            build_pseudo_gt_batch, cam_masks, write_cam_debug_csv)
@@ -214,3 +215,34 @@ def test_cam_debug_csv_dump(tmp_path):
     start = lines.index("# id_mask") + 1
     rows = [[float(v) for v in line.split(",")] for line in lines[start:start + 2]]
     np.testing.assert_array_equal(rows, id_mask)
+
+
+def test_augment_negative_taps_and_gradients_match_generator_forward():
+    model = ReidModel(CFG, seed=4)
+    weights = np.random.default_rng(15).normal(size=(2, 2, 3, 2, 2))
+
+    def run(taps_of):
+        leaves = [Tensor(np.random.default_rng(16 + i).uniform(-0.8, 0.8, size=(2, dim)),
+                         requires_grad=True)
+                  for i, dim in enumerate((CFG.id_dim, CFG.app_dim) * 2)]
+        emb_q, emb_n = DisentangledEmbedding(*leaves[:2]), DisentangledEmbedding(*leaves[2:])
+        taps = taps_of(emb_q, emb_n)
+        loss = sum(ad.tensor_sum(ad.mask_mul(tap, w)) for tap, w in zip(taps, weights))
+        loss.backward()
+        grads = [leaf.grad for leaf in leaves] + [p.grad for p in model.params.values()]
+        for p in model.params.values():
+            p.grad = None
+        return [tap.data for tap in taps], grads
+
+    def through_generator_forward(emb_q, emb_n):
+        ids = ad.concat([emb_q.id_feat, emb_n.id_feat], axis=0)
+        apps = ad.concat([emb_n.app_feat, emb_q.app_feat], axis=0)
+        taps, _ = model.generator_forward(ids, apps)
+        return taps[:2], taps[2:]
+
+    taps, grads = run(lambda q, n: augment_negative(q, n, model))
+    ref_taps, ref_grads = run(through_generator_forward)
+    assert all(np.array_equal(a, b) for a, b in zip(taps, ref_taps))
+    for grad, ref in zip(grads, ref_grads):
+        assert (grad is None) == (ref is None)  # the image head gets no gradient
+        assert grad is None or np.array_equal(grad, ref)

@@ -135,6 +135,18 @@ def test_bad_config_key_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["optim.beta1=1.5", "optim.epsilon=-1", "eval.alpha=nan",
+                                  "loss.cls_weight=nan", "optim.learning_rate=inf"])
+def test_out_of_range_config_value_exits_one_naming_the_key(tmp_path, capsys, line):
+    config_path, out_dir = _write_config(tmp_path)
+    with open(config_path, "a") as handle:
+        handle.write(line + "\n")
+    assert main(["train", "--config", config_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {line.split('=')[0]} must be ") and "\n" not in err
+    assert not os.path.exists(out_dir)  # rejected before any data or training
+
+
 def test_missing_checkpoint_is_error(tmp_path, capsys):
     assert main(["eval", "--ckpt", str(tmp_path / "nope"),
                  "--data", str(tmp_path / "nope2")]) == 1

@@ -203,3 +203,14 @@ def test_overrides():
     assert bumped.seed == 7
     assert bumped.out_dir == "elsewhere"
     assert bumped.network == config.network
+
+
+@pytest.mark.parametrize("line", [
+    "optim.learning_rate=nan", "optim.learning_rate=inf", "optim.beta1=1.5",
+    "optim.beta1=-0.1", "optim.beta2=1.0", "optim.beta2=nan", "optim.epsilon=-1",
+    "optim.epsilon=0.0", "optim.epsilon=inf", "loss.cls_weight=nan", "loss.margin=inf",
+    "loss.center_weight=-inf", "eval.alpha=nan", "eval.alpha=-inf"])
+def test_out_of_range_optimizer_loss_and_eval_values_name_their_key(line):
+    key = line.split("=")[0]
+    with pytest.raises(ConfigError, match=rf"^{key} must be "):
+        parse_config(line + "\n")

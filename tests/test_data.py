@@ -131,6 +131,29 @@ def test_triplet_sequence_reproducible():
     assert seq1 == seq2
 
 
+def test_triplet_draws_match_list_reference():
+    """The positive draw skips the query's slot in its identity's list; the
+    reference builds the list of the other samples, with the same three draws."""
+    manifest = DatasetManifest(num_identities=5, samples_per_identity=8,
+                               train_per_identity=6, query_per_identity=1,
+                               gallery_per_identity=1)
+    ds = generate(manifest)
+    ds = Dataset(ds.images, ds.labels, ds.train_idx[3:], ds.query_idx, ds.gallery_idx,
+                 ds.manifest)  # identity 0 keeps 3 train samples, the rest 6
+    by_id = {}
+    for idx in ds.train_idx:
+        by_id.setdefault(int(ds.labels[idx]), []).append(int(idx))
+    eligible = [idx for ident in sorted(by_id) for idx in by_id[ident]]
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(2000):
+        q = eligible[int(ref_rng.integers(len(eligible)))]
+        same = [i for i in by_id[int(ds.labels[q])] if i != q]
+        p = same[int(ref_rng.integers(len(same)))]
+        others = [int(i) for i in ds.train_idx if ds.labels[i] != ds.labels[q]]
+        n = others[int(ref_rng.integers(len(others)))]
+        assert sample_triplet(ds, rng) == (q, p, n)
+
+
 def test_triplet_covers_all_pairs_two_by_two():
     manifest = DatasetManifest(num_identities=2, samples_per_identity=2,
                                train_per_identity=2, query_per_identity=0,

@@ -345,3 +345,49 @@ def test_fused_l1_terms_match_primitive_chain():
         chain = term if chain is None else chain + term
     _assert_same_bits(positive_recon_loss(fused_leaves, targets[0], targets[1]), chain,
                       fused_leaves, chain_leaves)
+
+
+def _chain_total(terms, weights):
+    cls_term, triplet_term, center_term, cam_term, pos_term, neg_term = terms
+    identity_group = (cls_term * weights.cls_weight + triplet_term * weights.triplet_weight
+                      + center_term * weights.center_weight)
+    recon_group = (pos_term * weights.pos_recon_weight + neg_term * weights.neg_recon_weight
+                   + cam_term * weights.cam_weight)
+    return identity_group * weights.id_weight + recon_group * weights.recon_weight
+
+
+@pytest.mark.parametrize("weights", [
+    LossWeights(),
+    LossWeights(recon_weight=0.0, center_weight=0.0),
+    LossWeights(id_weight=0.7, recon_weight=1.3, cls_weight=1.7, triplet_weight=0.0,
+                pos_recon_weight=2.9, neg_recon_weight=0.11, cam_weight=0.0)])
+def test_fused_total_loss_matches_primitive_chain(weights):
+    rng = np.random.default_rng(35)
+    fused_leaves, chain_leaves = _twin_leaves(rng, *[()] * 6)
+    _assert_same_bits(total_loss(*fused_leaves, weights), _chain_total(chain_leaves, weights),
+                      fused_leaves, chain_leaves)
+
+
+def test_fused_negative_recon_matches_primitive_chain():
+    rng = np.random.default_rng(36)
+    shape = (3, 2, 2, 2)
+    targets = [rng.normal(size=shape) for _ in range(2)]
+    targets[1][0, 0, 0, 0] = 0.0
+    fused_leaves, chain_leaves = _twin_leaves(rng, shape, shape)
+    chain_leaves[1].data[0, 0, 0, 0] = fused_leaves[1].data[0, 0, 0, 0] = 0.0  # |x - t| kink
+    chain = ad.absolute(chain_leaves[0] - targets[0]).mean() + ad.absolute(
+        chain_leaves[1] - targets[1]).mean()
+    _assert_same_bits(negative_recon_loss(fused_leaves, *targets), chain,
+                      fused_leaves, chain_leaves)
+
+
+def test_fused_center_loss_matches_chain_at_wide_shapes():
+    # 100 centers and a batch of 64, as in the wide benchmark workload
+    rng = np.random.default_rng(37)
+    labels = rng.integers(0, 100, size=64)
+    centers = rng.uniform(-0.5, 0.5, size=(100, 16))
+    fused_leaves, chain_leaves = _twin_leaves(rng, (64, 16))
+    diff = chain_leaves[0].reshape((64, 1, 16)) - centers[None, :, :]
+    chain = _chain_cross_entropy(-ad.tensor_sum(diff.square(), axis=2), labels)
+    _assert_same_bits(center_discrepancy_loss(fused_leaves[0], labels, centers), chain,
+                      fused_leaves, chain_leaves)

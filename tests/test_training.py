@@ -203,6 +203,28 @@ def test_loss_log_digest_is_frozen(tmp_path):
                        "6365456e3c5e6a8da5f214131f4b92f039d265b4a235048c85a09dab2aea3a56"]
 
 
+def test_wide_loss_log_digest_is_frozen(tmp_path):
+    """A short run at the wide benchmark shapes (3-channel images, so the
+    grayscale targets really convert; 100 identities, so 100 centers; batch
+    64; hidden widths 256), pinned to the bit like the run above: its loss
+    log and final checkpoint blob, over two epochs of two steps, with a
+    center refresh after the first.  The digests were taken before the
+    center distances, the weighted total and the L1 sums became single
+    autodiff nodes, on the numpy and BLAS build named above."""
+    shape = (3, 16, 8)
+    network = NetworkConfig(image_shape=shape, num_identities=100, backbone_hidden=256,
+                            separator_hidden=256, generator_hidden=256)
+    config = RunConfig(network=network, data=DatasetManifest(num_identities=100,
+                                                             image_shape=shape, seed=3),
+                       batch_size=64, epochs=2, steps_per_epoch=2, seed=3,
+                       out_dir=str(tmp_path / "wide"))
+    Trainer(config).run()
+    digests = [hashlib.sha256((tmp_path / "wide" / name).read_bytes()).hexdigest()
+               for name in ("loss_log.csv", "ckpt_final/data.blob")]
+    assert digests == ["9b376f52b70b657c10bac3c2309782f74058883bcbd54119d070dd93892279f2",
+                       "e391fd131648fb29f75662459761854ed8a76a2884258adce16f2b0321227a23"]
+
+
 def test_loaded_checkpoint_parameters_move_on_step(tmp_path):
     trainer = Trainer(_tiny_config(tmp_path, epochs=1))
     trainer.run()
