@@ -10,6 +10,7 @@ single image or a whole batch in one call.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,7 @@ class Dataset:
     query_idx: np.ndarray
     gallery_idx: np.ndarray
     manifest: DatasetManifest
-    _sampler_cache: dict = field(default_factory=dict, repr=False)
+    _sampler_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def generate(manifest: DatasetManifest) -> Dataset:
@@ -108,32 +109,39 @@ def sample_triplet(dataset: Dataset, rng) -> tuple:
 
     Query is uniform over train samples of identities with at least two
     train samples; positive is a different sample of the same identity;
-    negative is any train sample of another identity.
+    negative is any train sample of another identity.  The first call
+    builds a per-dataset index in O(T log T) time and O(T) memory for T
+    train samples; a negative is drawn by its rank among the non-members.
     """
     cache = dataset._sampler_cache
     if not cache:
-        by_id = {}
-        for idx in dataset.train_idx:
-            by_id.setdefault(int(dataset.labels[idx]), []).append(int(idx))
-        cache["by_id"] = by_id
-        cache["eligible"] = [idx for ident, idxs in sorted(by_id.items())
-                             if len(idxs) >= 2 for idx in idxs]
-        cache["others"] = {ident: [int(i) for i in dataset.train_idx
-                                   if dataset.labels[i] != ident]
-                           for ident in by_id}
+        # a stable sort groups each identity's train positions in train order;
+        # adj[j] = position_j - j counts the non-members before member j
+        labels = dataset.labels[dataset.train_idx]
+        positions = np.argsort(labels, kind="stable")
+        idents, starts, counts = np.unique(labels[positions], return_index=True,
+                                           return_counts=True)
+        adj = (positions - np.arange(len(positions)) + np.repeat(starts, counts)).tolist()
+        members = dataset.train_idx[positions].tolist()
+        cache["train"] = dataset.train_idx.tolist()
+        cache["by_id"] = {ident: (members[s:s + c], adj[s:s + c]) for ident, s, c
+                          in zip(idents.tolist(), starts.tolist(), counts.tolist())}
+        cache["eligible"] = [(q, ident, slot) for ident, (same, _) in cache["by_id"].items()
+                             if len(same) >= 2 for slot, q in enumerate(same)]
     eligible = cache["eligible"]
     if not eligible:
         raise ValueError("no identity has >= 2 train samples")
-    q_idx = eligible[int(rng.integers(len(eligible)))]
-    identity = int(dataset.labels[q_idx])
-    same = cache["by_id"][identity]
+    q_idx, identity, slot = eligible[int(rng.integers(len(eligible)))]
+    same, adj = cache["by_id"][identity]
     # a uniform draw over the identity's other samples: skip the query's slot
     j = int(rng.integers(len(same) - 1))
-    p_idx = same[j + (j >= same.index(q_idx))]
-    others = cache["others"][identity]
-    if not others:
+    p_idx = same[j + (j >= slot)]
+    train = cache["train"]
+    if len(train) == len(same):
         raise ValueError("no negative candidates outside the query identity")
-    n_idx = others[int(rng.integers(len(others)))]
+    # the k-th non-member sits after the members whose adj is <= k
+    k = int(rng.integers(len(train) - len(same)))
+    n_idx = train[k + bisect_right(adj, k)]
     return q_idx, p_idx, n_idx
 
 
@@ -181,8 +189,9 @@ def load_dataset(dir_path) -> Dataset:
     """Read a dataset archive.  Images must be (num_identities *
     samples_per_identity,) + image_shape; labels and the three split index
     tensors must be 1-D and integral, with labels one per image in
-    [0, num_identities) and every index in [0, number of images); otherwise
-    ArchiveError names the tensor and the directory."""
+    [0, num_identities) and every index in [0, number of images), no image
+    in two splits or twice in one; otherwise ArchiveError names the tensor
+    and the directory."""
     meta, tensors = read_archive(dir_path)
     if meta.get("kind") != "dataset":
         raise ValueError(f"archive at {dir_path} is not a dataset "
@@ -209,4 +218,10 @@ def load_dataset(dir_path) -> Dataset:
         if np.any((arrays[name] < 0) | (arrays[name] >= len(images))):
             raise ArchiveError(f"archive {dir_path}: tensor {name!r} indexes outside "
                                f"[0, {len(images)})")
+    counts = np.bincount(np.concatenate([arrays[name] for name in _INT_TENSORS[1:]]))
+    if np.any(counts > 1):
+        index = int(np.argmax(counts > 1))
+        names = " and ".join(repr(n) for n in _INT_TENSORS[1:] if np.any(arrays[n] == index))
+        raise ArchiveError(f"archive {dir_path}: image {index} is listed {counts[index]} times "
+                           f"in {names}; the split indices must be distinct")
     return Dataset(images=images, manifest=manifest, **arrays)

@@ -84,6 +84,28 @@ def test_synth_writes_loadable_dataset(tmp_path, capsys):
     assert len(dataset.gallery_idx) == 8
 
 
+def test_train_one_step_on_a_thousand_identities(tmp_path, capsys):
+    """The triplet sampler's index is linear in the train split, so a
+    1,000-identity set (12,000 train samples) trains without a long set-up."""
+    data_dir = str(tmp_path / "data")
+    assert main(["synth", "--ids", "1000", "--per-id", "20", "--seed", "1",
+                 "--out", data_dir]) == 0
+    config_path, out_dir = _write_config(tmp_path)
+    with open(config_path) as handle:
+        config = handle.read()
+    for old, new in (("net.num_identities=4", "net.num_identities=1000"),
+                     ("train.epochs=2", "train.epochs=1"),
+                     ("train.steps_per_epoch=3", "train.steps_per_epoch=1")):
+        config = config.replace(old, new)
+    with open(config_path, "w") as handle:
+        handle.write(config + f"data.path={data_dir}\n")
+    assert main(["train", "--config", config_path]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out_dir, "loss_log.csv")) as handle:
+        rows = handle.read().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("0,")
+
+
 def test_train_eval_export_roundtrip(tmp_path, capsys):
     config_path, out_dir = _write_config(tmp_path)
     assert main(["train", "--config", config_path]) == 0
@@ -301,6 +323,19 @@ def test_dataset_index_out_of_range_is_error(tmp_path, capsys):
     write_archive(data_dir, meta, tensors)
     err = _eval_error(ckpt, data_dir, capsys)
     assert data_dir in err and "'query_idx'" in err
+
+
+@pytest.mark.parametrize("name,source", [("query_idx", "gallery_idx"),
+                                         ("train_idx", "train_idx")])
+def test_dataset_split_repeating_an_image_is_error(tmp_path, capsys, name, source):
+    """The first query moved onto the second gallery image, or the first
+    train index repeating the second."""
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    meta, tensors = read_archive(data_dir)
+    tensors[name][0] = tensors[source][1]
+    write_archive(data_dir, meta, tensors)
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert data_dir in err and repr(name) in err
 
 
 def test_dataset_trailing_blob_bytes_is_error(tmp_path, capsys):

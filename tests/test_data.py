@@ -1,5 +1,7 @@
 """Synthetic dataset construction, triplet sampling, transforms, and the
 archive round-trip."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,27 +133,85 @@ def test_triplet_sequence_reproducible():
     assert seq1 == seq2
 
 
-def test_triplet_draws_match_list_reference():
-    """The positive draw skips the query's slot in its identity's list; the
-    reference builds the list of the other samples, with the same three draws."""
+def _reference_triplets(ds, rng, draws):
+    """The list-based oracle: per-identity lists in train order, the query
+    uniform over identities with >= 2 train samples, the positive from the
+    list of its other samples, the negative from the list of every train
+    sample of another identity; the same three draws per triplet."""
+    by_id = {}
+    for idx in ds.train_idx:
+        by_id.setdefault(int(ds.labels[idx]), []).append(int(idx))
+    eligible = [idx for ident in sorted(by_id) if len(by_id[ident]) >= 2
+                for idx in by_id[ident]]
+    for _ in range(draws):
+        q = eligible[int(rng.integers(len(eligible)))]
+        same = [i for i in by_id[int(ds.labels[q])] if i != q]
+        p = same[int(rng.integers(len(same)))]
+        others = [int(i) for i in ds.train_idx if ds.labels[i] != ds.labels[q]]
+        n = others[int(rng.integers(len(others)))]
+        yield q, p, n
+
+
+def test_triplet_draws_match_list_reference(tmp_path):
+    """The index draws the oracle's triplets on: an identity cut to 3 train
+    samples, a shuffled train order, an identity with one train sample,
+    unequal group sizes, and such a set after an archive round trip."""
     manifest = DatasetManifest(num_identities=5, samples_per_identity=8,
                                train_per_identity=6, query_per_identity=1,
                                gallery_per_identity=1)
     ds = generate(manifest)
-    ds = Dataset(ds.images, ds.labels, ds.train_idx[3:], ds.query_idx, ds.gallery_idx,
-                 ds.manifest)  # identity 0 keeps 3 train samples, the rest 6
-    by_id = {}
-    for idx in ds.train_idx:
-        by_id.setdefault(int(ds.labels[idx]), []).append(int(idx))
-    eligible = [idx for ident in sorted(by_id) for idx in by_id[ident]]
-    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    for _ in range(2000):
-        q = eligible[int(ref_rng.integers(len(eligible)))]
-        same = [i for i in by_id[int(ds.labels[q])] if i != q]
-        p = same[int(ref_rng.integers(len(same)))]
-        others = [int(i) for i in ds.train_idx if ds.labels[i] != ds.labels[q]]
-        n = others[int(ref_rng.integers(len(others)))]
-        assert sample_triplet(ds, rng) == (q, p, n)
+    shuffled = np.random.default_rng(4).permutation(ds.train_idx)
+    # identity 1 keeps four train samples, identity 2 one, identity 3 two
+    uneven = np.setdiff1d(ds.train_idx, [10, 11, 17, 18, 19, 20, 21, 25, 26, 27, 28])
+    uneven = np.random.default_rng(5).permutation(uneven)
+    save_dataset(replace(ds, train_idx=uneven), tmp_path / "ds")
+    cases = [replace(ds, train_idx=ds.train_idx[3:]), replace(ds, train_idx=shuffled),
+             replace(ds, train_idx=uneven), load_dataset(tmp_path / "ds")]
+    for case in cases:
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        drawn = [sample_triplet(case, rng) for _ in range(10_000)]
+        assert drawn == list(_reference_triplets(case, ref_rng, 10_000))
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+    lone = 16  # identity 2's only train sample: a negative, never a query or positive
+    assert any(n == lone for _, _, n in drawn)
+    assert all(lone not in (q, p) for q, p, _ in drawn)
+
+
+def test_copied_dataset_builds_its_own_sampler_index():
+    """A split made with dataclasses.replace after the parent's index is
+    built draws only from its own train samples."""
+    ds = generate(DatasetManifest())
+    sample_triplet(ds, np.random.default_rng(0))
+    half = replace(ds, train_idx=ds.train_idx[ds.labels[ds.train_idx] < 5])
+    rng = np.random.default_rng(1)
+    drawn = {idx for _ in range(2000) for idx in sample_triplet(half, rng)}
+    assert drawn <= set(half.train_idx.tolist())
+
+
+def _entries(value):
+    """Entries held by nested lists, tuples and dicts, each container counted
+    by its length."""
+    if isinstance(value, dict):
+        return len(value) + sum(_entries(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return len(value) + sum(_entries(v) for v in value)
+    return 0
+
+
+def test_sampler_index_is_linear_in_train_size():
+    """1,000 identities x 12 train samples: a per-identity list of every
+    other identity's samples would hold about 12 million entries."""
+    labels = np.repeat(np.arange(1000), 12)
+    train = np.random.default_rng(0).permutation(len(labels))
+    ds = Dataset(np.zeros((len(labels), 1, 1, 1)), labels, train, train[:0], train[:0],
+                 DatasetManifest(num_identities=1000, samples_per_identity=12,
+                                 train_per_identity=12, query_per_identity=0,
+                                 gallery_per_identity=0))
+    rng = np.random.default_rng(1)
+    for _ in range(1000):
+        q, p, n = sample_triplet(ds, rng)
+        assert q != p and labels[q] == labels[p] != labels[n]
+    assert _entries(ds._sampler_cache) <= 10 * len(train)
 
 
 def test_triplet_covers_all_pairs_two_by_two():
@@ -173,6 +233,13 @@ def test_triplet_requires_two_train_samples():
                       ds.gallery_idx, ds.manifest)
     with pytest.raises(ValueError):
         sample_triplet(starved, np.random.default_rng(0))
+
+
+def test_triplet_requires_a_negative_candidate():
+    ds = generate(DatasetManifest())
+    lone = replace(ds, train_idx=ds.train_idx[:12])  # identity 0 alone
+    with pytest.raises(ValueError, match="no negative candidates"):
+        sample_triplet(lone, np.random.default_rng(0))
 
 
 def test_grayscale_luminance_values():
@@ -256,6 +323,10 @@ def _first_set_to(value):
     ("labels", _first_set_to(np.nan)),
     ("train_idx", lambda values: values.reshape(-1, 2)),
     ("labels", lambda values: values[:-1]),
+    # query 12 moved onto gallery 16: the query would match its own image
+    pytest.param("query_idx", _first_set_to(16), id="query-in-gallery"),
+    # train 0 replaced by a second train 1: a query could be its own positive
+    pytest.param("train_idx", _first_set_to(1), id="train-repeated"),
 ])
 def test_load_dataset_rejects_bad_index_tensors(tmp_path, name, edit):
     save_dataset(generate(DatasetManifest()), tmp_path / "ds")
