@@ -10,28 +10,27 @@ from sirmetric.gradcheck import gradcheck_all
 # A tensor wraps a float64 array; requires_grad marks it as a leaf whose
 # gradient we want after backward.
 x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-w = Tensor(np.array([[0.5], [-0.25]]), requires_grad=True)
+w = Tensor(np.array([[0.5, -1.0], [-0.25, 0.75]]), requires_grad=True)
+b = Tensor(np.array([0.1, -0.2]), requires_grad=True)
 
-# Operator sugar builds the graph as plain expressions.
-y = ((x @ w).relu() + 1.0).square().mean()
+# Each op records one graph node: a dense layer relu(x @ w + b), the squash
+# nonlinearity, which maps a row v to v * sqrt(s) / (1 + s) with s = |v|^2
+# and so keeps every row strictly inside the unit ball, and a mean.
+h = ad.dense(x, w, b, "relu")
+s = ad.squash(h)
+print("squashed rows:\n", s.data, "\nrow norms:", np.linalg.norm(s.data, axis=1))
+y = ad.tensor_mean(s)
 print("forward value:", y.item())
 
 y.backward()
 print("dL/dx:\n", x.grad)
 print("dL/dw:\n", w.grad)
-
-# The squash nonlinearity maps a row v to v * sqrt(s) / (1 + s) with
-# s = |v|^2, keeping every row strictly inside the unit ball.
-v = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
-s = v.squash()
-print("squash([3,4]) =", s.data[0], " norm =", np.linalg.norm(s.data))
-s.sum().backward()
-print("squash backward at [3,4]:", v.grad[0])
+print("dL/db:", b.grad)
 
 # grad_check compares the analytic gradient of any scalar-valued function
-# against central differences with step 1e-5.
-point = np.array([0.3, -0.7, 1.1])
-report = ad.grad_check(lambda t: (t.square() * 2.0).sum(), Tensor(point, requires_grad=True))
+# against central differences with step 1e-5, here with respect to x.
+report = ad.grad_check(lambda t: ad.tensor_mean(ad.squash(ad.dense(t, w, b, "relu"))),
+                       Tensor(x.data))
 print(f"grad_check: max_rel_error={report.max_rel_error:.3e} "
       f"passed={report.passed} over {report.num_coordinates} coordinates")
 
@@ -39,6 +38,6 @@ print(f"grad_check: max_rel_error={report.max_rel_error:.3e} "
 # training objective, sampling leaves away from hinge and relu kinks so
 # the finite differences are trustworthy.
 print("\nfull verification harness:")
-for entry in gradcheck_all(seed=0):
-    print(f"  {entry.name:24s} max_rel_error={entry.max_rel_error:.3e} "
-          f"passed={entry.passed}")
+for name, report in gradcheck_all(seed=0).items():
+    print(f"  {name:24s} max_rel_error={report.max_rel_error:.3e} "
+          f"passed={report.passed}")

@@ -4,10 +4,12 @@ A ``Tensor`` wraps a numpy buffer; applying an operation records a backward
 closure on the result, so the computation graph doubles as the tape.
 ``backward()`` on a scalar walks that graph once in reverse topological
 order and accumulates gradients into every reachable tensor that asked for
-them.  Fused ops (dense layers and the loss kernels) record one node for a
-whole primitive chain, with the chain's exact arithmetic.  The module also
-provides the Adam optimizer, which owns the parameter storage, and a
-central finite-difference gradient checker used to verify every loss in
+them.  The module holds only the ops the package runs: the shape ops
+(``take``, ``reshape``, ``concat``, ``tensor_mean``), ``mask_mul``,
+``squash``, and fused nodes that each stand for a whole primitive chain
+with the chain's exact arithmetic (``dense`` layers and the loss kernels).
+It also provides the Adam optimizer, which owns the parameter storage, and
+a central finite-difference gradient checker used to verify every loss in
 this package.
 
 All math is float64.  The graph is single-use: run a fresh forward pass for
@@ -82,10 +84,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -93,9 +91,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def _accumulate(self, grad: np.ndarray) -> None:
         # never in place: a stored gradient may be another node's array
@@ -135,43 +130,8 @@ class Tensor:
                 node._rule(node.grad)
         self._spent = True
 
-    # ---- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, index):
         return take(self, index)
-
-    def square(self):
-        return square(self)
-
-    def relu(self):
-        return relu(self)
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis)
 
     def mean(self, axis=None):
         return tensor_mean(self, axis)
@@ -198,78 +158,7 @@ def _recording(*tensors: Tensor) -> bool:
     return False
 
 
-# ---- elementwise arithmetic ---------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-    if not _recording(a, b):
-        return Tensor(data)
-
-    def rule(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), rule)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-    if not _recording(a, b):
-        return Tensor(data)
-
-    def rule(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _node(data, (a, b), rule)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-    if not _recording(a, b):
-        return Tensor(data)
-
-    def rule(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), rule)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    data = a.data @ b.data
-    if not _recording(a, b):
-        return Tensor(data)
-
-    def rule(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _node(data, (a, b), rule)
+# ---- elementwise ops -----------------------------------------------------
 
 
 def mask_mul(a, mask) -> Tensor:
@@ -289,45 +178,6 @@ def mask_mul(a, mask) -> Tensor:
     return _node(data, (a,), rule)
 
 
-# ---- elementwise nonlinearities -----------------------------------------
-
-
-def square(a) -> Tensor:
-    a = _coerce(a)
-    data = a.data * a.data
-    if not _recording(a):
-        return Tensor(data)
-
-    def rule(g):
-        a._accumulate(2.0 * a.data * g)
-
-    return _node(data, (a,), rule)
-
-
-def exp(a) -> Tensor:
-    a = _coerce(a)
-    data = np.exp(a.data)
-    if not _recording(a):
-        return Tensor(data)
-
-    def rule(g):
-        a._accumulate(data * g)
-
-    return _node(data, (a,), rule)
-
-
-def log(a) -> Tensor:
-    a = _coerce(a)
-    data = np.log(a.data)
-    if not _recording(a):
-        return Tensor(data)
-
-    def rule(g):
-        a._accumulate(g / a.data)
-
-    return _node(data, (a,), rule)
-
-
 def relu_grad(g: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Relu backward, shared by every op that applies a relu."""
     return g * active
@@ -336,44 +186,6 @@ def relu_grad(g: np.ndarray, active: np.ndarray) -> np.ndarray:
 def sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sigmoid backward from its output, shared by every op that applies one."""
     return g * out * (1.0 - out)
-
-
-def relu(a) -> Tensor:
-    a = _coerce(a)
-    data = np.maximum(a.data, 0.0)
-    if not _recording(a):
-        return Tensor(data)
-    active = a.data > 0.0  # subgradient at the kink is 0
-
-    def rule(g):
-        a._accumulate(relu_grad(g, active))
-
-    return _node(data, (a,), rule)
-
-
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
-    if not _recording(a):
-        return Tensor(data)
-
-    def rule(g):
-        a._accumulate(sigmoid_grad(g, data))
-
-    return _node(data, (a,), rule)
-
-
-def absolute(a) -> Tensor:
-    a = _coerce(a)
-    data = np.abs(a.data)
-    if not _recording(a):
-        return Tensor(data)
-    sign = np.sign(a.data)  # derivative at the kink is 0
-
-    def rule(g):
-        a._accumulate(g * sign)
-
-    return _node(data, (a,), rule)
 
 
 def squash(a) -> Tensor:
@@ -410,21 +222,6 @@ def squash(a) -> Tensor:
 
 
 # ---- reductions and shape ops -------------------------------------------
-
-
-def tensor_sum(a, axis=None) -> Tensor:
-    a = _coerce(a)
-    data = a.data.sum(axis=axis)
-    if not _recording(a):
-        return Tensor(data)
-
-    def rule(g):
-        if axis is None:
-            a._accumulate(np.full(a.data.shape, g))
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
-
-    return _node(data, (a,), rule)
 
 
 def tensor_mean(a, axis=None) -> Tensor:
@@ -506,10 +303,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 # ---- fused ops -------------------------------------------------------------
 #
-# Each is one node standing for a chain of the primitives above.  Forward
-# and backward evaluate the chain's numpy expressions in the chain's order,
-# and a parent receives its contributions in the order the chain would add
-# them, so values and gradients are bitwise those of the chain.
+# Each is one node standing for a chain of primitive ops (add, sub, mul,
+# matmul, relu, ...), which live in the tests as the reference chains.
+# Forward and backward evaluate the chain's numpy expressions in the
+# chain's order, and a parent receives its contributions in the order the
+# chain would add them, so values and gradients are bitwise those of the
+# chain.
 
 
 def dense(x, w, b, act: str = "none") -> Tensor:
@@ -689,8 +488,6 @@ class Adam:
 
     def __init__(self, params: dict, lr: float = 0.0002, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8):
-        if not isinstance(params, dict):
-            params = {f"p{i}": p for i, p in enumerate(params)}
         self.params = params
         self.lr = lr
         self.beta1 = beta1

@@ -46,13 +46,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    entries = gradcheck_all(seed=args.seed, tol=args.tol)
     all_passed = True
-    for entry in entries:
-        status = "PASS" if entry.passed else "FAIL"
-        print(f"{entry.name}: max_rel_error={entry.max_rel_error:.6e} "
-              f"tol={entry.tolerance:g} coords={entry.num_coordinates} {status}")
-        all_passed &= entry.passed
+    for name, report in gradcheck_all(seed=args.seed, tol=args.tol).items():
+        status = "PASS" if report.passed else "FAIL"
+        print(f"{name}: max_rel_error={report.max_rel_error:.6e} "
+              f"tol={report.tolerance:g} coords={report.num_coordinates} {status}")
+        all_passed &= report.passed
     print(f"gradcheck: {'all 6 losses pass' if all_passed else 'FAILURES detected'}")
     return 0 if all_passed else 2
 

@@ -11,6 +11,7 @@ the positions of the relevant gallery items alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ def fuse_embeddings(images: np.ndarray, model: ReidModel, alpha: float = 0.55,
                     use_flip: bool = True) -> np.ndarray:
     """Batch of images -> (N, d_I + d_A + C_b) fused vectors, from the
     model's eval-mode ``embed`` pass."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"fusion alpha must be finite, got {alpha!r}")
     views = (images, horizontal_flip(images)) if use_flip else (images,)
     fused = [np.concatenate([id_feat, app_feat, alpha * features.mean(axis=(2, 3))], axis=1)
              for id_feat, app_feat, features in map(model.embed, views)]

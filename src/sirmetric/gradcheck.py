@@ -9,8 +9,6 @@ central-difference estimate is valid everywhere it is compared.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -24,15 +22,6 @@ from .networks import DisentangledEmbedding, NetworkConfig, ReidModel
 FD_STEP = 1e-5
 KINK_MARGIN = 10.0 * FD_STEP
 _MAX_RESAMPLE = 200
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_error: float
-    tolerance: float
-    passed: bool
-    num_coordinates: int
 
 
 def _split_embeddings(matrix: Tensor, rows, id_dim: int) -> DisentangledEmbedding:
@@ -189,14 +178,13 @@ _CHECKS = [
 
 
 def gradcheck_all(seed: int = 0, tol: float = 1e-4,
-                  config: NetworkConfig | None = None) -> list:
-    """Run every loss check; returns one GradCheckEntry per loss."""
+                  config: NetworkConfig | None = None) -> dict[str, ad.GradCheckReport]:
+    """Run every loss check; returns each loss's report by name, in check
+    order."""
     config = config if config is not None else NetworkConfig(id_dropout=0.0)
     model = ReidModel(config, seed=seed)
-    entries = []
+    reports = {}
     for index, (name, check) in enumerate(_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 4, index)))
-        report = check(rng, model, tol)
-        entries.append(GradCheckEntry(name, report.max_rel_error, tol,
-                                      report.passed, report.num_coordinates))
-    return entries
+        reports[name] = check(rng, model, tol)
+    return reports

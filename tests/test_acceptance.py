@@ -35,11 +35,11 @@ def test_criterion_1_gradient_integrity():
     # All six losses pass a central-difference check at 1e-4 relative
     # tolerance in f64, sampled away from hinge/relu/L1 kinks, within 60 s.
     start = time.perf_counter()
-    entries = gradcheck_all(seed=0, tol=1e-4)
+    reports = gradcheck_all(seed=0, tol=1e-4)
     elapsed = time.perf_counter() - start
-    assert len(entries) == 6
-    for entry in entries:
-        assert entry.passed, f"{entry.name}: {entry.max_rel_error:.3e}"
+    assert len(reports) == 6
+    for name, report in reports.items():
+        assert report.passed, f"{name}: {report.max_rel_error:.3e}"
     assert elapsed < 60.0
 
 

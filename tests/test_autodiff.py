@@ -1,10 +1,17 @@
 """Core autodiff checks: hand-computed values, backward rules, Adam, and
 the finite-difference checker itself."""
+import ast
+from functools import reduce
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sirmetric import autodiff as ad
 from sirmetric.autodiff import Adam, GraphError, ShapeError, Tensor
+
+from reference_ops import (absolute, add, exp, log, matmul, mul, relu, sigmoid, square,
+                           tensor_sum)
 
 
 def test_squash_three_four_vector():
@@ -19,7 +26,7 @@ def test_squash_zero_vector_maps_to_zero():
     x = Tensor([0.0, 0.0, 0.0], requires_grad=True)
     out = ad.squash(x)
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0])
-    ad.tensor_sum(out).backward()
+    tensor_sum(out).backward()
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0])
 
 
@@ -41,25 +48,25 @@ def test_squash_rejects_3d():
 
 def test_sum_of_squares_gradient():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    ad.tensor_sum(ad.square(x)).backward()
+    tensor_sum(square(x)).backward()
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 def test_mean_relu_gradient():
     x = Tensor([-1.0, 1.0], requires_grad=True)
-    ad.tensor_mean(ad.relu(x)).backward()
+    ad.tensor_mean(relu(x)).backward()
     np.testing.assert_array_equal(x.grad, [0.0, 0.5])
 
 
 def test_relu_gradient_is_zero_at_kink():
     x = Tensor([0.0], requires_grad=True)
-    ad.tensor_sum(ad.relu(x)).backward()
+    tensor_sum(relu(x)).backward()
     np.testing.assert_array_equal(x.grad, [0.0])
 
 
 def test_abs_values_and_gradient():
     x = Tensor([-1.0, 2.0, -3.0], requires_grad=True)
-    out = ad.tensor_sum(ad.absolute(x))
+    out = tensor_sum(absolute(x))
     assert out.item() == 6.0
     out.backward()
     np.testing.assert_array_equal(x.grad, [-1.0, 1.0, -1.0])
@@ -67,7 +74,7 @@ def test_abs_values_and_gradient():
 
 def test_l2_norm_sq():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    out = ad.tensor_sum(ad.square(x))
+    out = tensor_sum(square(x))
     assert out.item() == 5.0
     out.backward()
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
@@ -75,46 +82,46 @@ def test_l2_norm_sq():
 
 def test_sigmoid_at_zero():
     x = Tensor([0.0], requires_grad=True)
-    out = ad.sigmoid(x)
+    out = sigmoid(x)
     assert out.data[0] == 0.5
-    ad.tensor_sum(out).backward()
+    tensor_sum(out).backward()
     np.testing.assert_array_equal(x.grad, [0.25])
 
 
 def test_log_gradient():
     x = Tensor([2.0], requires_grad=True)
-    ad.tensor_sum(ad.log(x)).backward()
+    tensor_sum(log(x)).backward()
     np.testing.assert_array_equal(x.grad, [0.5])
 
 
 def test_matmul_values_and_gradients():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((3, 1)), requires_grad=True)
-    out = a @ b
+    out = matmul(a, b)
     np.testing.assert_array_equal(out.data, [[3.0], [3.0]])
-    ad.tensor_sum(out).backward()
+    tensor_sum(out).backward()
     np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
     np.testing.assert_array_equal(b.grad, [[2.0], [2.0], [2.0]])
 
 
 def test_matmul_rejects_bad_shapes():
     with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 1))))
+        matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 1))))
 
 
 def test_broadcast_add_unbroadcasts_gradient():
     a = Tensor(np.zeros((2, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
-    ad.tensor_sum(a + b).backward()
+    tensor_sum(add(a, b)).backward()
     np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
     np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
 
 
 def test_take_scatter_adds_repeated_indices():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    ad.tensor_sum(x[np.array([0, 0, 2])]).backward()
+    tensor_sum(x[np.array([0, 0, 2])]).backward()
     np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
 
 
@@ -122,7 +129,7 @@ def test_concat_splits_gradient():
     a = Tensor([1.0, 1.0], requires_grad=True)
     b = Tensor([1.0, 1.0, 1.0], requires_grad=True)
     c = ad.concat([a, b])
-    ad.tensor_sum(ad.mask_mul(c, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))).backward()
+    tensor_sum(ad.mask_mul(c, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))).backward()
     np.testing.assert_array_equal(a.grad, [1.0, 2.0])
     np.testing.assert_array_equal(b.grad, [3.0, 4.0, 5.0])
 
@@ -130,7 +137,7 @@ def test_concat_splits_gradient():
 def test_mask_mul_mask_stays_constant():
     x = Tensor([1.0, 2.0], requires_grad=True)
     mask = Tensor([0.0, 1.0], requires_grad=True)
-    ad.tensor_sum(ad.mask_mul(x, mask)).backward()
+    tensor_sum(ad.mask_mul(x, mask)).backward()
     np.testing.assert_array_equal(x.grad, [0.0, 1.0])
     assert mask.grad is None
 
@@ -139,33 +146,33 @@ def test_mean_tuple_axis():
     x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
     out = ad.tensor_mean(x, axis=(1, 2))
     np.testing.assert_allclose(out.data, x.data.mean(axis=(1, 2)), rtol=0, atol=0)
-    ad.tensor_sum(out).backward()
+    tensor_sum(out).backward()
     np.testing.assert_allclose(x.grad, np.full((2, 3, 4), 1.0 / 12.0), rtol=0, atol=1e-16)
 
 
 def test_reshape_gradient_roundtrips():
     x = Tensor(np.arange(6.0), requires_grad=True)
     y = ad.reshape(x, (2, 3))
-    ad.tensor_sum(ad.mask_mul(y, np.arange(6.0).reshape(2, 3))).backward()
+    tensor_sum(ad.mask_mul(y, np.arange(6.0).reshape(2, 3))).backward()
     np.testing.assert_array_equal(x.grad, np.arange(6.0))
 
 
 def test_gradient_accumulates_over_reuse():
     x = Tensor([3.0], requires_grad=True)
-    y = x * x + x
-    ad.tensor_sum(y).backward()
+    y = add(mul(x, x), x)
+    tensor_sum(y).backward()
     np.testing.assert_array_equal(x.grad, [7.0])
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(GraphError):
-        (x * 2.0).backward()
+        mul(x, 2.0).backward()
 
 
 def test_backward_rejects_second_call():
     x = Tensor([1.0], requires_grad=True)
-    out = ad.tensor_sum(x * x)
+    out = tensor_sum(mul(x, x))
     out.backward()
     with pytest.raises(GraphError):
         out.backward()
@@ -174,17 +181,9 @@ def test_backward_rejects_second_call():
 def test_no_grad_skips_graph():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with ad.no_grad():
-        y = ad.square(x)
+        y = square(x)
     assert not y.requires_grad
     assert y._parents == ()
-
-
-def test_detach_cuts_graph():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    y = ad.square(x).detach()
-    assert not y.requires_grad
-    ad.tensor_sum(x * y).backward()
-    np.testing.assert_array_equal(x.grad, [1.0, 4.0])
 
 
 def test_adam_first_step_closed_form():
@@ -236,27 +235,27 @@ def test_grad_check_battery_over_all_ops():
     weight = Tensor(rng.normal(size=(3, 2)))
     tail = Tensor(rng.normal(size=2))
     cases = {
-        "mul_broadcast": (lambda t: ad.tensor_sum(ad.square(t * row)),
+        "mul_broadcast": (lambda t: tensor_sum(square(mul(t, row))),
                           rng.normal(size=(2, 3))),
-        "matmul": (lambda t: ad.tensor_sum(ad.square(t @ weight)),
+        "matmul": (lambda t: tensor_sum(square(matmul(t, weight))),
                    rng.normal(size=(2, 3))),
-        "exp": (lambda t: ad.tensor_sum(ad.exp(t)), rng.normal(size=4)),
-        "log": (lambda t: ad.tensor_sum(ad.log(t)), rng.uniform(0.5, 1.5, size=4)),
-        "relu": (lambda t: ad.tensor_sum(ad.square(ad.relu(t))), _away_from_zero(rng, 5)),
-        "sigmoid": (lambda t: ad.tensor_sum(ad.square(ad.sigmoid(t))), rng.normal(size=4)),
-        "abs": (lambda t: ad.tensor_sum(ad.absolute(t)), _away_from_zero(rng, 5)),
-        "squash": (lambda t: ad.tensor_sum(ad.square(ad.squash(t))),
+        "exp": (lambda t: tensor_sum(exp(t)), rng.normal(size=4)),
+        "log": (lambda t: tensor_sum(log(t)), rng.uniform(0.5, 1.5, size=4)),
+        "relu": (lambda t: tensor_sum(square(relu(t))), _away_from_zero(rng, 5)),
+        "sigmoid": (lambda t: tensor_sum(square(sigmoid(t))), rng.normal(size=4)),
+        "abs": (lambda t: tensor_sum(absolute(t)), _away_from_zero(rng, 5)),
+        "squash": (lambda t: tensor_sum(square(ad.squash(t))),
                    rng.normal(size=(3, 4))),
-        "mean_axis": (lambda t: ad.tensor_sum(ad.square(ad.tensor_mean(t, axis=0))),
+        "mean_axis": (lambda t: tensor_sum(square(ad.tensor_mean(t, axis=0))),
                       rng.normal(size=(3, 2))),
-        "take": (lambda t: ad.tensor_sum(ad.square(t[np.array([0, 0, 1])])),
+        "take": (lambda t: tensor_sum(square(t[np.array([0, 0, 1])])),
                  rng.normal(size=(3, 2))),
-        "take_slice": (lambda t: ad.tensor_sum(ad.square(t[1:, :1])),
+        "take_slice": (lambda t: tensor_sum(square(t[1:, :1])),
                        rng.normal(size=(3, 2))),
-        "dense": (lambda t: ad.tensor_sum(ad.square(ad.dense(t, weight, tail, "sigmoid"))),
+        "dense": (lambda t: tensor_sum(square(ad.dense(t, weight, tail, "sigmoid"))),
                   rng.normal(size=(2, 3))),
         "concat_reshape": (
-            lambda t: ad.tensor_sum(ad.square(ad.concat([ad.reshape(t, (6,)), tail]))),
+            lambda t: tensor_sum(square(ad.concat([ad.reshape(t, (6,)), tail]))),
             rng.normal(size=(2, 3))),
     }
     for name, (fn, x) in cases.items():
@@ -269,7 +268,7 @@ def test_grad_check_flags_wrong_gradient():
     # mask_mul treats its mask as constant, so reusing the input as the mask
     # gives an analytic gradient of x where the true one is 2x
     def dishonest(t):
-        return ad.tensor_sum(ad.mask_mul(t, t.data))
+        return tensor_sum(ad.mask_mul(t, t.data))
 
     report = ad.grad_check(dishonest, Tensor([1.0, 2.0]))
     assert not report.passed
@@ -297,11 +296,11 @@ def test_dense_matches_primitive_chain(act):
     readout = rng.normal(size=(6, 4))  # a non-uniform upstream gradient
     fused_leaves = _leaves(rng, *shapes)
     chain_leaves = [Tensor(t.data.copy(), requires_grad=True) for t in fused_leaves]
-    fused = ad.tensor_sum(ad.mask_mul(ad.dense(*fused_leaves, act), readout))
+    fused = tensor_sum(ad.mask_mul(ad.dense(*fused_leaves, act), readout))
     x, w, b = chain_leaves
-    z = x @ w + b
-    out = {"none": z, "relu": ad.relu(z), "sigmoid": ad.sigmoid(z)}[act]
-    chain = ad.tensor_sum(ad.mask_mul(out, readout))
+    z = add(matmul(x, w), b)
+    out = {"none": z, "relu": relu(z), "sigmoid": sigmoid(z)}[act]
+    chain = tensor_sum(ad.mask_mul(out, readout))
     fused.backward()
     chain.backward()
     _assert_same_bits(fused, chain, fused_leaves, chain_leaves)
@@ -322,8 +321,8 @@ def test_take_basic_slice_matches_scatter():
     x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     y = Tensor(x.data.copy(), requires_grad=True)
     readout = rng.normal(size=(2, 3))
-    ad.tensor_sum(ad.mask_mul(x[2:4], readout)).backward()
-    ad.tensor_sum(ad.mask_mul(y[np.array([2, 3])], readout)).backward()
+    tensor_sum(ad.mask_mul(x[2:4], readout)).backward()
+    tensor_sum(ad.mask_mul(y[np.array([2, 3])], readout)).backward()
     assert np.array_equal(x.grad, y.grad)
 
 
@@ -334,8 +333,8 @@ def test_slices_scatter_into_a_gradient_no_other_tensor_holds(slice_first):
     rng = np.random.default_rng(23)
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    terms = [ad.tensor_sum(a[1:3]), ad.tensor_sum(a[0]), ad.tensor_sum(a + b)]
-    (sum(terms) if slice_first else sum(terms[::-1])).backward()
+    terms = [tensor_sum(a[1:3]), tensor_sum(a[0]), tensor_sum(add(a, b))]
+    reduce(add, terms if slice_first else terms[::-1], 0).backward()
     expected = np.ones((4, 3))
     expected[:3] += 1.0
     assert np.array_equal(a.grad, expected)
@@ -379,3 +378,40 @@ def test_flat_adam_matches_per_parameter_update_bitwise():
         assert np.array_equal(params[name].data, p)
         assert np.array_equal(opt.m[name], m)
         assert np.array_equal(opt.v[name], v)
+
+
+# ---- the package keeps only the autodiff it runs -------------------------
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sirmetric"
+
+
+def _names_taken_from_autodiff(tree):
+    """``ad.<name>`` / ``autodiff.<name>`` attributes and ``from .autodiff
+    import <name>`` names in one module."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("ad", "autodiff")):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "autodiff":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_autodiff_name_has_a_caller_in_the_package():
+    # reference ops for the tests live in tests/reference_ops.py, not here
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "autodiff.py":
+            used |= _names_taken_from_autodiff(ast.parse(path.read_text()))
+    module = ast.parse((PACKAGE / "autodiff.py").read_text())
+    public = [node for node in module.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert public
+    uncalled = []
+    for definition in public:
+        elsewhere = {node.id for other in module.body if other is not definition
+                     for node in ast.walk(other) if isinstance(node, ast.Name)}
+        if definition.name not in used | elsewhere:
+            uncalled.append(definition.name)
+    assert uncalled == [], "public autodiff names with no caller in the package"

@@ -1,5 +1,6 @@
 """Mask construction, pseudo-ground-truth assembly (against a per-cell
 brute-force oracle), and the embedding-swap augmentations."""
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,8 @@ from sirmetric.autodiff import Tensor
 from sirmetric.cam import (augment_negative, augment_positive,
                            build_pseudo_gt_batch, cam_masks, write_cam_debug_csv)
 from sirmetric.networks import DisentangledEmbedding, NetworkConfig, ReidModel
+
+from reference_ops import add, tensor_sum
 
 CFG = NetworkConfig(image_shape=(1, 4, 4), feature_shape=(3, 2, 2),
                     id_dim=4, app_dim=2, num_identities=3, id_dropout=0.0)
@@ -227,7 +230,7 @@ def test_augment_negative_taps_and_gradients_match_generator_forward():
                   for i, dim in enumerate((CFG.id_dim, CFG.app_dim) * 2)]
         emb_q, emb_n = DisentangledEmbedding(*leaves[:2]), DisentangledEmbedding(*leaves[2:])
         taps = taps_of(emb_q, emb_n)
-        loss = sum(ad.tensor_sum(ad.mask_mul(tap, w)) for tap, w in zip(taps, weights))
+        loss = reduce(add, (tensor_sum(ad.mask_mul(tap, w)) for tap, w in zip(taps, weights)), 0)
         loss.backward()
         grads = [leaf.grad for leaf in leaves] + [p.grad for p in model.params.values()]
         for p in model.params.values():

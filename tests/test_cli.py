@@ -207,9 +207,9 @@ def _manifest_value(archive_dir, key):
     return next(line.split("=", 1)[1] for line in lines if line.startswith(key + "="))
 
 
-def _eval_error(ckpt, data_dir, capsys):
+def _eval_error(ckpt, data_dir, capsys, *flags):
     """Run eval, expect exit 1 and return the one-line error message."""
-    assert main(["eval", "--ckpt", ckpt, "--data", data_dir]) == 1
+    assert main(["eval", "--ckpt", ckpt, "--data", data_dir, *flags]) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
     return err
@@ -228,6 +228,16 @@ def test_checkpoint_bad_value_names_key(tmp_path, capsys, key):
     _edit_manifest(ckpt, key, "x")
     err = _eval_error(ckpt, data_dir, capsys)
     assert ckpt in err and repr(key) in err
+
+
+@pytest.mark.parametrize("flags, stored", [(("--alpha", "nan"), None),
+                                           (("--alpha", "inf"), None), ((), "nan")],
+                         ids=["flag-nan", "flag-inf", "stored-nan"])
+def test_non_finite_eval_alpha_is_error(tmp_path, capsys, flags, stored):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    if stored is not None:
+        _edit_manifest(ckpt, "eval.alpha", stored)
+    assert "alpha must be finite" in _eval_error(ckpt, data_dir, capsys, *flags)
 
 
 def test_checkpoint_param_shape_mismatch_names_tensor(tmp_path, capsys):

@@ -198,6 +198,44 @@ def test_cmc_map_matches_brute_force_on_random_instances():
         assert result.num_queries_without_match == skipped_ref
 
 
+def _random_retrieval(rng, trial):
+    num_g = int(rng.integers(1, 41 if trial % 4 == 3 else 9))
+    num_q = int(rng.integers(1, 5))
+    dim = int(rng.integers(1, 4))
+    return (rng.normal(size=(num_q, dim)), rng.normal(size=(num_g, dim)),
+            rng.integers(0, 4, size=num_q), rng.integers(0, 4, size=num_g))
+
+
+def test_scores_unchanged_by_relabeling_identities():
+    # a one-to-one relabeling keeps every query-gallery match, so every score
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        queries, gallery, q_labels, g_labels = _random_retrieval(rng, trial)
+        if trial % 2 == 0:
+            queries, gallery = np.round(queries), np.round(gallery)  # with ties
+        relabel = rng.choice(1000, size=4, replace=False)
+        order, _ = rank_all(queries, gallery)
+        base = cmc_and_map(order, q_labels, g_labels)
+        moved = cmc_and_map(order, relabel[q_labels], relabel[g_labels])
+        assert np.array_equal(moved.cmc, base.cmc)
+        assert moved.mean_ap == base.mean_ap
+        assert moved.num_queries_without_match == base.num_queries_without_match
+
+
+def test_scores_unchanged_by_permuting_a_tie_free_gallery():
+    # without distance ties the ranking is a function of the vectors alone,
+    # not of the gallery's storage order
+    rng = np.random.default_rng(42)
+    for trial in range(200):
+        queries, gallery, q_labels, g_labels = _random_retrieval(rng, trial)
+        perm = rng.permutation(len(gallery))
+        base = cmc_and_map(rank_all(queries, gallery)[0], q_labels, g_labels)
+        moved = cmc_and_map(rank_all(queries, gallery[perm])[0], q_labels, g_labels[perm])
+        np.testing.assert_allclose(moved.cmc, base.cmc, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moved.mean_ap, base.mean_ap, rtol=0, atol=1e-12)
+        assert moved.num_queries_without_match == base.num_queries_without_match
+
+
 def test_evaluate_retrieval_end_to_end_shapes():
     manifest = DatasetManifest(num_identities=3, samples_per_identity=6,
                                train_per_identity=3, query_per_identity=1,

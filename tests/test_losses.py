@@ -11,6 +11,8 @@ from sirmetric.losses import (LossWeights, TripletBatch, cam_classification_loss
                               total_loss, triplet_loss)
 from sirmetric.networks import DisentangledEmbedding
 
+from reference_ops import absolute, add, exp, log, mul, relu, square, sub, tensor_sum
+
 
 def _emb(id_rows, app_rows=None):
     id_rows = np.atleast_2d(np.asarray(id_rows, dtype=np.float64))
@@ -281,7 +283,7 @@ def _twin_leaves(rng, *shapes):
 
 
 def _assert_same_bits(fused, chain, fused_leaves, chain_leaves):
-    fused, chain = fused * 0.37, chain * 0.37  # a non-unit upstream gradient
+    fused, chain = mul(fused, 0.37), mul(chain, 0.37)  # a non-unit upstream gradient
     fused.backward()
     chain.backward()
     assert np.array_equal(fused.data, chain.data)
@@ -291,20 +293,20 @@ def _assert_same_bits(fused, chain, fused_leaves, chain_leaves):
 
 def _chain_cross_entropy(logits, labels):
     shift = logits.data.max(axis=1, keepdims=True)
-    summed = ad.tensor_sum(ad.exp(logits - shift), axis=1)
-    log_sum_exp = ad.log(summed) + shift.reshape(-1)
+    summed = tensor_sum(exp(sub(logits, shift)), axis=1)
+    log_sum_exp = add(log(summed), shift.reshape(-1))
     one_hot = np.eye(logits.shape[1])[labels]
-    true_logit = ad.tensor_sum(ad.mask_mul(logits, one_hot), axis=1)
-    return (log_sum_exp - true_logit).mean()
+    true_logit = tensor_sum(ad.mask_mul(logits, one_hot), axis=1)
+    return sub(log_sum_exp, true_logit).mean()
 
 
 def test_fused_triplet_matches_primitive_chain():
     rng = np.random.default_rng(31)
     fused_leaves, chain_leaves = _twin_leaves(rng, (7, 5), (7, 5), (7, 5))
     q, p, n = chain_leaves
-    d_pos = ad.tensor_sum((q - p).square(), axis=1)
-    d_neg = ad.tensor_sum((q - n).square(), axis=1)
-    chain = (d_pos - d_neg + 0.9).relu().mean()
+    d_pos = tensor_sum(square(sub(q, p)), axis=1)
+    d_neg = tensor_sum(square(sub(q, n)), axis=1)
+    chain = relu(add(sub(d_pos, d_neg), 0.9)).mean()
     fused = triplet_loss(TripletBatch(*(DisentangledEmbedding(t, Tensor(np.zeros((7, 1))))
                                         for t in fused_leaves),
                                       np.zeros(7, dtype=int), np.ones(7, dtype=int)), 0.9)
@@ -326,8 +328,8 @@ def test_fused_center_loss_matches_primitive_chain():
     labels = rng.integers(0, 5, size=8)
     centers = rng.normal(size=(5, 4))
     fused_leaves, chain_leaves = _twin_leaves(rng, (8, 4))
-    diff = chain_leaves[0].reshape((8, 1, 4)) - centers[None, :, :]
-    chain = _chain_cross_entropy(-ad.tensor_sum(diff.square(), axis=2), labels)
+    diff = sub(chain_leaves[0].reshape((8, 1, 4)), centers[None, :, :])
+    chain = _chain_cross_entropy(mul(tensor_sum(square(diff), axis=2), -1.0), labels)
     _assert_same_bits(center_discrepancy_loss(fused_leaves[0], labels, centers), chain,
                       fused_leaves, chain_leaves)
 
@@ -341,19 +343,21 @@ def test_fused_l1_terms_match_primitive_chain():
     chain_leaves[0].data[0, 0, 0, 0] = fused_leaves[0].data[0, 0, 0, 0] = 0.0  # |x - t| kink
     chain = None
     for output, target in zip(chain_leaves, (targets[0], targets[1], targets[0])):
-        term = ad.absolute(output - target).mean()
-        chain = term if chain is None else chain + term
+        term = absolute(sub(output, target)).mean()
+        chain = term if chain is None else add(chain, term)
     _assert_same_bits(positive_recon_loss(fused_leaves, targets[0], targets[1]), chain,
                       fused_leaves, chain_leaves)
 
 
 def _chain_total(terms, weights):
     cls_term, triplet_term, center_term, cam_term, pos_term, neg_term = terms
-    identity_group = (cls_term * weights.cls_weight + triplet_term * weights.triplet_weight
-                      + center_term * weights.center_weight)
-    recon_group = (pos_term * weights.pos_recon_weight + neg_term * weights.neg_recon_weight
-                   + cam_term * weights.cam_weight)
-    return identity_group * weights.id_weight + recon_group * weights.recon_weight
+    identity_group = add(add(mul(cls_term, weights.cls_weight),
+                             mul(triplet_term, weights.triplet_weight)),
+                         mul(center_term, weights.center_weight))
+    recon_group = add(add(mul(pos_term, weights.pos_recon_weight),
+                          mul(neg_term, weights.neg_recon_weight)),
+                      mul(cam_term, weights.cam_weight))
+    return add(mul(identity_group, weights.id_weight), mul(recon_group, weights.recon_weight))
 
 
 @pytest.mark.parametrize("weights", [
@@ -375,8 +379,8 @@ def test_fused_negative_recon_matches_primitive_chain():
     targets[1][0, 0, 0, 0] = 0.0
     fused_leaves, chain_leaves = _twin_leaves(rng, shape, shape)
     chain_leaves[1].data[0, 0, 0, 0] = fused_leaves[1].data[0, 0, 0, 0] = 0.0  # |x - t| kink
-    chain = ad.absolute(chain_leaves[0] - targets[0]).mean() + ad.absolute(
-        chain_leaves[1] - targets[1]).mean()
+    chain = add(absolute(sub(chain_leaves[0], targets[0])).mean(),
+                absolute(sub(chain_leaves[1], targets[1])).mean())
     _assert_same_bits(negative_recon_loss(fused_leaves, *targets), chain,
                       fused_leaves, chain_leaves)
 
@@ -387,7 +391,7 @@ def test_fused_center_loss_matches_chain_at_wide_shapes():
     labels = rng.integers(0, 100, size=64)
     centers = rng.uniform(-0.5, 0.5, size=(100, 16))
     fused_leaves, chain_leaves = _twin_leaves(rng, (64, 16))
-    diff = chain_leaves[0].reshape((64, 1, 16)) - centers[None, :, :]
-    chain = _chain_cross_entropy(-ad.tensor_sum(diff.square(), axis=2), labels)
+    diff = sub(chain_leaves[0].reshape((64, 1, 16)), centers[None, :, :])
+    chain = _chain_cross_entropy(mul(tensor_sum(square(diff), axis=2), -1.0), labels)
     _assert_same_bits(center_discrepancy_loss(fused_leaves[0], labels, centers), chain,
                       fused_leaves, chain_leaves)
