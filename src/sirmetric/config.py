@@ -153,11 +153,6 @@ def load_config(path) -> RunConfig:
         return parse_config(handle.read())
 
 
-def save_config(config: RunConfig, path) -> None:
-    with open(path, "w") as handle:
-        handle.write(serialize_config(config))
-
-
 def with_overrides(config: RunConfig, seed: int | None = None,
                    out_dir: str | None = None) -> RunConfig:
     """CLI-level overrides for --seed and --out."""

@@ -75,10 +75,6 @@ class TripletBatch:
         if np.any(self.query_labels == self.negative_labels):
             raise ValueError("negative label equals query label in some entry")
 
-    @property
-    def size(self) -> int:
-        return int(self.query.id_feat.shape[0])
-
 
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
@@ -109,9 +105,6 @@ def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
     if centers.ndim != 2 or centers.shape[1] != id_feat.shape[1]:
         raise ShapeError(f"centers shape {centers.shape} does not match "
                          f"embedding dim {id_feat.shape[1]}")
-    labels = np.asarray(labels)
-    if np.any(labels < 0) or np.any(labels >= centers.shape[0]):
-        raise ValueError("a present label has no center")
     # cross-entropy over logits -d: mean(d_own + logsumexp(-d))
     return ad.center_cross_entropy(id_feat, centers, _one_hot(labels, centers.shape[0]))
 

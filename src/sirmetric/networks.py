@@ -133,11 +133,10 @@ class ReidModel:
         f = self._dense(h, "backbone", "2", "relu")
         return f.reshape((batch,) + self.config.feature_shape)
 
-    def separator_forward(self, features: Tensor, train_mode: bool = False,
-                          rng=None) -> DisentangledEmbedding:
+    def separator_forward(self, features: Tensor, keep=None) -> DisentangledEmbedding:
         """Feature maps -> norm-bounded (id, appearance) embedding pair.
 
-        In train mode, id components are dropped at the configured rate with
+        A 0/1 ``keep`` mask of the id half's shape drops id components with
         no rescaling, so the norm bound survives.
         """
         if features.data.ndim != 4 or features.data.shape[1:] != self.config.feature_shape:
@@ -148,10 +147,9 @@ class ReidModel:
         shared = self._dense(flat, "separator", "1", "relu")
         id_feat = self._dense(shared, "separator", "_id").squash()
         app_feat = self._dense(shared, "separator", "_app").squash()
-        if train_mode and self.config.id_dropout > 0.0:
-            if rng is None:
-                raise ValueError("train-mode separator needs an rng for the dropout mask")
-            keep = (rng.random(id_feat.shape) >= self.config.id_dropout).astype(np.float64)
+        if keep is not None:
+            if np.shape(keep) != id_feat.shape:
+                raise ShapeError(f"keep mask needs shape {id_feat.shape}, got {np.shape(keep)}")
             id_feat = ad.mask_mul(id_feat, keep)
         return DisentangledEmbedding(id_feat, app_feat)
 

@@ -2,8 +2,8 @@
 Adam updates, loss logging, and checkpoints.
 
 Determinism contract: every step draws from a fresh generator seeded by
-(run seed, 1, step index), consuming randomness in a fixed order (triplet
-index draws, then grayscale coins, then the dropout mask).  Model init
+(run seed, 1, step index); ``draw_step`` takes all of a step's draws in a
+fixed order and ``step_losses`` then draws nothing.  Model init
 uses (run seed, 0), dataset synthesis uses (data seed, 2).  A run resumed
 from a checkpoint therefore replays the exact remaining trajectory.
 """
@@ -67,13 +67,15 @@ class Trainer:
     def from_checkpoint(cls, ckpt_dir, config: RunConfig,
                         dataset: Dataset | None = None) -> "Trainer":
         """Resume: the checkpoint supplies the state (parameters, Adam moments and
-        t, centers, step); the run config all else, all four Adam settings too."""
+        t, centers, step); the run config all else, all four Adam settings and the
+        center refresh period too."""
         model, optimizer, registry, meta = load_checkpoint(ckpt_dir)
         if model.config != config.network:
             raise ConfigError("checkpoint network configuration does not match "
                               "the run config")
         optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.epsilon = (
             config.learning_rate, config.beta1, config.beta2, config.epsilon)
+        registry.refresh_period_epochs = config.refresh_period_epochs
         return cls(config, dataset=dataset, model=model, optimizer=optimizer,
                    registry=registry, start_step=meta.parse("step", int))
 
@@ -131,56 +133,62 @@ class Trainer:
         if not self.registry.centers:
             raise RuntimeError("cluster registry is empty; refresh before stepping")
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, self.step)))
-        size = cfg.batch_size
-
-        triplets = [sample_triplet(self.dataset, rng) for _ in range(size)]
-        q_idx, p_idx, n_idx = (np.array(part) for part in zip(*triplets))
-        stacked_idx = np.concatenate([q_idx, p_idx, n_idx])
-        images, _ = randomly_grayscale(self.dataset.images[stacked_idx], rng,
-                                       cfg.grayscale_prob)
-        y_q = self.dataset.labels[q_idx]
-        y_n = self.dataset.labels[n_idx]
-
-        features = self.model.backbone_forward(images)
-        emb_all = self.model.separator_forward(features, train_mode=True, rng=rng)
-        q_rows, p_rows, n_rows = slice(size), slice(size, 2 * size), slice(2 * size, None)
-        emb_q = DisentangledEmbedding(emb_all.id_feat[q_rows], emb_all.app_feat[q_rows])
-        emb_p = DisentangledEmbedding(emb_all.id_feat[p_rows], emb_all.app_feat[p_rows])
-        emb_n = DisentangledEmbedding(emb_all.id_feat[n_rows], emb_all.app_feat[n_rows])
-
-        batch = TripletBatch(emb_q, emb_p, emb_n, y_q, y_n)
-        tri = triplet_loss(batch, cfg.loss.margin)
-        center = center_discrepancy_loss(emb_q.id_feat, y_q,
-                                         self.registry.centers_matrix())
-        cls = classification_loss(self.model.classifier_forward(emb_q), y_q)
-        cam = cam_classification_loss(self.model.cam_logits(features[q_rows]), y_q)
-
-        gray = to_grayscale(images[:2 * size])
-        pos = positive_recon_loss(augment_positive(emb_q, emb_p, self.model),
-                                  gray[:size], gray[size:])
-
-        feature_values = features.data
-        f_q = feature_values[:size]
-        f_n = feature_values[2 * size:]
-        pseudo_q, pseudo_n = build_pseudo_gt_batch(
-            f_q, f_n, self.model.cam_maps(f_q, y_q), self.model.cam_maps(f_n, y_n))
-        taps = augment_negative(emb_q, emb_n, self.model,
-                                swap_second_appearance=cfg.swap_negative_appearance,
-                                emb_positive=emb_p)
-        neg = negative_recon_loss(taps, pseudo_q, pseudo_n)
-
-        total = total_loss(cls, tri, center, cam, pos, neg, cfg.loss)
-        row = (self.step, cls.item(), tri.item(), center.item(), cam.item(),
-               pos.item(), neg.item(), total.item())
+        losses = step_losses(self.model, *draw_step(self.dataset, rng, cfg),
+                             self.registry.centers_matrix(), cfg)
+        row = (self.step,) + tuple(loss.item() for loss in losses)
         for name, value in zip(LOG_HEADER.split(",")[1:], row[1:]):
             if not math.isfinite(value):
                 raise ValueError(f"step {self.step}: non-finite {name} ({value!r}); "
                                  "stopped before the update")
-        total.backward()
+        losses[-1].backward()
         self.optimizer.step()
         self.loss_rows.append(row)
         self.step += 1
         return row
+
+
+def draw_step(dataset: Dataset, rng: np.random.Generator, config: RunConfig) -> tuple:
+    """One step's random inputs in the contract's order (triplets, grayscale coins, then the
+    id-dropout keep mask, None at rate 0): (images as query, positive and negative row
+    blocks, keep, query labels, negative labels)."""
+    triplets = [sample_triplet(dataset, rng) for _ in range(config.batch_size)]
+    q_idx, p_idx, n_idx = (np.array(part) for part in zip(*triplets))
+    images, _ = randomly_grayscale(dataset.images[np.concatenate([q_idx, p_idx, n_idx])],
+                                   rng, config.grayscale_prob)
+    rate = config.network.id_dropout
+    keep = None if rate == 0.0 else (
+        rng.random((len(images), config.network.id_dim)) >= rate).astype(np.float64)
+    return images, keep, dataset.labels[q_idx], dataset.labels[n_idx]
+
+
+def step_losses(model: ReidModel, images: np.ndarray, keep, y_q: np.ndarray,
+                y_n: np.ndarray, centers: np.ndarray, config: RunConfig) -> tuple:
+    """(cls, triplet, center, cam, positive recon, negative recon, total) losses
+    of one drawn step; draws nothing."""
+    size = len(y_q)
+    features = model.backbone_forward(images)
+    emb_all = model.separator_forward(features, keep)
+    q_rows, p_rows, n_rows = slice(size), slice(size, 2 * size), slice(2 * size, None)
+    emb_q, emb_p, emb_n = (DisentangledEmbedding(emb_all.id_feat[rows], emb_all.app_feat[rows])
+                           for rows in (q_rows, p_rows, n_rows))
+
+    tri = triplet_loss(TripletBatch(emb_q, emb_p, emb_n, y_q, y_n), config.loss.margin)
+    center = center_discrepancy_loss(emb_q.id_feat, y_q, centers)
+    cls = classification_loss(model.classifier_forward(emb_q), y_q)
+    cam = cam_classification_loss(model.cam_logits(features[q_rows]), y_q)
+
+    gray = to_grayscale(images[:2 * size])
+    pos = positive_recon_loss(augment_positive(emb_q, emb_p, model),
+                              gray[:size], gray[size:])
+
+    f_q, f_n = features.data[q_rows], features.data[n_rows]
+    pseudo_q, pseudo_n = build_pseudo_gt_batch(
+        f_q, f_n, model.cam_maps(f_q, y_q), model.cam_maps(f_n, y_n))
+    taps = augment_negative(emb_q, emb_n, model,
+                            swap_second_appearance=config.swap_negative_appearance,
+                            emb_positive=emb_p)
+    neg = negative_recon_loss(taps, pseudo_q, pseudo_n)
+    return cls, tri, center, cam, pos, neg, total_loss(cls, tri, center, cam, pos, neg, config.loss)
 
 
 def read_loss_log(path) -> list:

@@ -380,38 +380,65 @@ def test_flat_adam_matches_per_parameter_update_bitwise():
         assert np.array_equal(opt.v[name], v)
 
 
-# ---- the package keeps only the autodiff it runs -------------------------
+# ---- every public name has a caller -------------------------------------
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sirmetric"
+ROOT = PACKAGE.parent.parent
 
 
-def _names_taken_from_autodiff(tree):
-    """``ad.<name>`` / ``autodiff.<name>`` attributes and ``from .autodiff
-    import <name>`` names in one module."""
-    names = set()
+def _names_taken_from(tree, module):
+    """Names one file takes from package module ``module``: ``from .module``
+    or ``from sirmetric.module`` imports, and attributes of the module
+    imported whole (``from sirmetric import module as alias``; ``alias.<name>``)."""
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (1, module), (0, f"sirmetric.{module}")):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (1, None), (0, "sirmetric")):
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == module)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in ("ad", "autodiff")):
+                and node.value.id in aliases):
             names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "autodiff":
-            names.update(alias.name for alias in node.names)
     return names
+
+
+def _uncalled_public_names(module, caller_paths):
+    """Public top-level functions and classes of ``module`` that neither
+    another definition in it nor any of ``caller_paths`` refers to."""
+    used = set()
+    for path in caller_paths:
+        used |= _names_taken_from(ast.parse(path.read_text()), module)
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    public = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    uncalled = []
+    for definition in public:
+        elsewhere = {node.id for other in tree.body if other is not definition
+                     for node in ast.walk(other) if isinstance(node, ast.Name)}
+        if definition.name not in used | elsewhere:
+            uncalled.append(definition.name)
+    return public, uncalled
 
 
 def test_every_public_autodiff_name_has_a_caller_in_the_package():
     # reference ops for the tests live in tests/reference_ops.py, not here
-    used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "autodiff.py":
-            used |= _names_taken_from_autodiff(ast.parse(path.read_text()))
-    module = ast.parse((PACKAGE / "autodiff.py").read_text())
-    public = [node for node in module.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")]
+    public, uncalled = _uncalled_public_names(
+        "autodiff", [path for path in PACKAGE.glob("*.py") if path.name != "autodiff.py"])
     assert public
-    uncalled = []
-    for definition in public:
-        elsewhere = {node.id for other in module.body if other is not definition
-                     for node in ast.walk(other) if isinstance(node, ast.Name)}
-        if definition.name not in used | elsewhere:
-            uncalled.append(definition.name)
     assert uncalled == [], "public autodiff names with no caller in the package"
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")
+                                          if not path.stem.startswith("_")
+                                          and path.stem != "autodiff"))
+def test_every_public_name_has_a_caller_in_the_package_demos_or_acceptance(module):
+    """The public surface is what the package, the CLI, the demos and the
+    acceptance tests use; any other public function or class is dead."""
+    callers = [path for path in PACKAGE.glob("*.py") if path.stem != module]
+    callers += sorted((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    _, uncalled = _uncalled_public_names(module, callers)
+    assert uncalled == [], f"public {module} names with no caller"

@@ -21,7 +21,7 @@ class _PassthroughModel:
     def backbone_forward(self, x):
         return Tensor(np.asarray(x))
 
-    def separator_forward(self, f, train_mode=False, rng=None):
+    def separator_forward(self, f, keep=None):
         flat = f.data.reshape(f.data.shape[0], -1)
         return DisentangledEmbedding(Tensor(flat), Tensor(flat[:, :1]))
 

@@ -5,8 +5,7 @@ from sirmetric.autodiff import Adam
 from sirmetric.checkpoint import save_checkpoint
 from sirmetric.clusters import ClusterRegistry
 from sirmetric.config import (ConfigError, RunConfig, load_config,
-                              parse_config, save_config, serialize_config,
-                              with_overrides)
+                              parse_config, serialize_config, with_overrides)
 from sirmetric.data import DatasetManifest, generate, save_dataset
 from sirmetric.losses import LossWeights
 from sirmetric.networks import NetworkConfig, ReidModel
@@ -192,7 +191,7 @@ def test_invalid_network_value_surfaces_as_config_error():
 def test_file_roundtrip(tmp_path):
     config = RunConfig(seed=3, out_dir="runs/x")
     path = tmp_path / "run.cfg"
-    save_config(config, path)
+    path.write_text(serialize_config(config))
     assert load_config(path) == config
 
 

@@ -87,15 +87,25 @@ def test_separator_dropout_zeroes_components_without_rescale():
     model = ReidModel(cfg, seed=3)
     f = model.backbone_forward(np.random.default_rng(2).uniform(size=(8, 1, 4, 4)))
     plain = model.separator_forward(f)
-    dropped = model.separator_forward(f, train_mode=True, rng=np.random.default_rng(0))
+    keep = (np.random.default_rng(0).random((8, 4)) >= 0.5).astype(np.float64)
+    dropped = model.separator_forward(f, keep)
     zeroed = dropped.id_feat.data == 0.0
     assert zeroed.any()
+    np.testing.assert_array_equal(zeroed, keep == 0.0)
     # surviving components keep their eval-mode values (no inverted scaling)
     survived = ~zeroed
     np.testing.assert_array_equal(dropped.id_feat.data[survived], plain.id_feat.data[survived])
+    np.testing.assert_array_equal(dropped.app_feat.data, plain.app_feat.data)
     assert np.all(np.linalg.norm(dropped.id_feat.data, axis=1) < 1.0)
-    with pytest.raises(ValueError):
-        model.separator_forward(f, train_mode=True)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (8, 1), (8, 6), (8,), (2, 8, 4)])
+def test_separator_rejects_a_keep_mask_of_another_shape(shape):
+    """Any mask not of the id half's shape is refused, broadcastable ones included."""
+    model = ReidModel(SMALL, seed=3)
+    f = model.backbone_forward(np.random.default_rng(2).uniform(size=(8, 1, 4, 4)))
+    with pytest.raises(ShapeError, match="keep mask"):
+        model.separator_forward(f, np.ones(shape))
 
 
 def test_generator_shapes_range_and_sensitivity():
