@@ -19,6 +19,7 @@ values and safe to share; graph construction itself is not thread-safe
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -560,8 +561,9 @@ def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4,
     instead of blowing up.  ``f`` must be deterministic and side-effect
     free.
     """
-    if h <= 0.0:
-        raise ValueError("finite-difference step h must be positive")
+    for name, value in (("h", h), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"grad_check {name} must be finite and > 0, got {value!r}")
     leaf = Tensor(x.data.copy(), requires_grad=True)
     out = f(leaf)
     if out.data.size != 1:

@@ -9,17 +9,20 @@ NetworkConfig field table.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .autodiff import Adam
 from .blobio import ArchiveError, field_table, read_archive, write_archive
 from .clusters import ClusterRegistry
+from .config import RunConfig
 from .networks import NetworkConfig, ReidModel
 
 _NET_TABLE = field_table(NetworkConfig, "net.")
 
 
 def save_checkpoint(dir_path, model: ReidModel, optimizer: Adam,
-                    registry: ClusterRegistry, step: int,
-                    eval_alpha: float = 0.55, eval_flip: bool = True) -> None:
+                    registry: ClusterRegistry, step: int, config: RunConfig) -> None:
+    """Write the state at ``step``, with ``config``'s eval defaults and refresh period."""
     meta = {
         "kind": "checkpoint",
         "step": int(step),
@@ -28,21 +31,22 @@ def save_checkpoint(dir_path, model: ReidModel, optimizer: Adam,
         "adam.beta1": optimizer.beta1,
         "adam.beta2": optimizer.beta2,
         "adam.epsilon": optimizer.epsilon,
-        "registry.refresh_period_epochs": registry.refresh_period_epochs,
+        "registry.refresh_period_epochs": config.refresh_period_epochs,
         "registry.last_refresh_epoch": (
             "none" if registry.last_refresh_epoch is None
             else registry.last_refresh_epoch),
         **{key: getattr(model.config, name) for key, name, _ in _NET_TABLE},
-        "eval.alpha": float(eval_alpha),
-        "eval.flip": bool(eval_flip),
+        "eval.alpha": float(config.eval_alpha),
+        "eval.flip": bool(config.eval_flip),
     }
     tensors = {}
     for name, param in model.params.items():
         tensors[f"param/{name}"] = param.data
         tensors[f"adam_m/{name}"] = optimizer.m[name]
         tensors[f"adam_v/{name}"] = optimizer.v[name]
-    for identity, center in registry.centers.items():
-        tensors[f"registry/center_{identity}"] = center
+    if registry.centers is not None:
+        for identity, center in enumerate(registry.centers):
+            tensors[f"registry/center_{identity}"] = center
     write_archive(dir_path, meta, tensors)
 
 
@@ -77,17 +81,19 @@ def load_checkpoint(dir_path):
     for name in shapes:
         optimizer.m[name][...] = tensors[f"adam_m/{name}"]
         optimizer.v[name][...] = tensors[f"adam_v/{name}"]
-    registry = ClusterRegistry(meta.parse("registry.refresh_period_epochs", int))
-    last_refresh = meta.parse("registry.last_refresh_epoch",
-                              lambda text: None if text == "none" else int(text))
-    if last_refresh is not None:
-        registry.set_centers(_read_centers(dir_path, tensors, model.config), last_refresh)
+    # parsed only so a bad value is an error: a resume takes the period from its run config
+    meta.parse("registry.refresh_period_epochs", int)
+    registry = ClusterRegistry()
+    registry.last_refresh_epoch = meta.parse(
+        "registry.last_refresh_epoch", lambda text: None if text == "none" else int(text))
+    if registry.last_refresh_epoch is not None:
+        registry.centers = _read_centers(dir_path, tensors, model.config)
     return model, optimizer, registry, meta
 
 
-def _read_centers(dir_path, tensors, config: NetworkConfig) -> dict:
-    """The registry/center_<k> tensors: exactly k = 0 .. num_identities - 1,
-    each of shape (id_dim,)."""
+def _read_centers(dir_path, tensors, config: NetworkConfig) -> np.ndarray:
+    """The registry/center_<k> tensors, stacked in k order: exactly
+    k = 0 .. num_identities - 1, each of shape (id_dim,)."""
     names = [f"registry/center_{k}" for k in range(config.num_identities)]
     stray = sorted(set(key for key in tensors if key.startswith("registry/center_")) - set(names))
     if stray:
@@ -97,4 +103,4 @@ def _read_centers(dir_path, tensors, config: NetworkConfig) -> dict:
         if tensors[key].shape != (config.id_dim,):
             raise ArchiveError(f"archive {dir_path}: tensor '{key}' has shape "
                                f"{tensors[key].shape}, but the net.* keys give {(config.id_dim,)}")
-    return {identity: tensors[key] for identity, key in enumerate(names)}
+    return np.stack([tensors[key] for key in names])

@@ -135,8 +135,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError and ArchiveError are ValueErrors
+    except (ValueError, OSError) as exc:
+        # ConfigError and ArchiveError are ValueErrors; a missing file, a
+        # directory where a file belongs (or the reverse) are OSErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -48,20 +48,20 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0 or self.steps_per_epoch < 1:
-            raise ConfigError("batch_size/steps_per_epoch must be >= 1, epochs >= 0")
-        if not 0.0 <= self.grayscale_prob <= 1.0:
-            raise ConfigError("grayscale_prob must be in [0, 1]")
-        for name in ("learning_rate", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{_TOP_KEYS[name]} must be finite and > 0, got {value!r}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{_TOP_KEYS[name]} must be in [0, 1), got {value!r}")
-        if not math.isfinite(self.eval_alpha):
-            raise ConfigError(f"{_TOP_KEYS['eval_alpha']} must be finite, got {self.eval_alpha!r}")
+        for name, ok, rule in (
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("epochs", self.epochs >= 0, ">= 0"),
+                ("steps_per_epoch", self.steps_per_epoch >= 1, ">= 1"),
+                ("refresh_period_epochs", self.refresh_period_epochs >= 1, ">= 1"),
+                ("grayscale_prob", 0.0 <= self.grayscale_prob <= 1.0, "in [0, 1]"),
+                ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0.0,
+                 "finite and > 0"),
+                ("epsilon", math.isfinite(self.epsilon) and self.epsilon > 0.0, "finite and > 0"),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("eval_alpha", math.isfinite(self.eval_alpha), "finite")):
+            if not ok:
+                raise ConfigError(f"{_TOP_KEYS[name]} must be {rule}, got {getattr(self, name)!r}")
         if self.data.image_shape != self.network.image_shape:
             raise ConfigError(
                 f"dataset image shape {self.data.image_shape} does not match "

@@ -24,12 +24,8 @@ KINK_MARGIN = 10.0 * FD_STEP
 _MAX_RESAMPLE = 200
 
 
-def _split_embeddings(matrix: Tensor, rows, id_dim: int) -> DisentangledEmbedding:
-    rows = np.asarray(rows)
-    cols_id = np.arange(id_dim)
-    cols_app = np.arange(id_dim, matrix.shape[1])
-    return DisentangledEmbedding(matrix[np.ix_(rows, cols_id)],
-                                 matrix[np.ix_(rows, cols_app)])
+def _split_embeddings(matrix: Tensor, rows: slice, id_dim: int) -> DisentangledEmbedding:
+    return DisentangledEmbedding(matrix[rows, :id_dim], matrix[rows, id_dim:])
 
 
 def _check_triplet(rng, model, tol):
@@ -46,9 +42,9 @@ def _check_triplet(rng, model, tol):
         raise RuntimeError("could not sample a triplet batch away from the hinge kink")
 
     def fn(leaf):
-        q = DisentangledEmbedding(leaf[np.arange(0, 2)], Tensor(np.zeros((2, 1))))
-        p = DisentangledEmbedding(leaf[np.arange(2, 4)], Tensor(np.zeros((2, 1))))
-        n = DisentangledEmbedding(leaf[np.arange(4, 6)], Tensor(np.zeros((2, 1))))
+        q = DisentangledEmbedding(leaf[0:2], Tensor(np.zeros((2, 1))))
+        p = DisentangledEmbedding(leaf[2:4], Tensor(np.zeros((2, 1))))
+        n = DisentangledEmbedding(leaf[4:6], Tensor(np.zeros((2, 1))))
         return triplet_loss(TripletBatch(q, p, n, np.zeros(2, dtype=int),
                                          np.ones(2, dtype=int)), margin)
 
@@ -73,7 +69,7 @@ def _check_cls(rng, model, tol):
     x = rng.uniform(-0.8, 0.8, size=(2, cfg.embed_dim))
 
     def fn(leaf):
-        emb = _split_embeddings(leaf, [0, 1], cfg.id_dim)
+        emb = _split_embeddings(leaf, slice(0, 2), cfg.id_dim)
         return classification_loss(model.classifier_forward(emb), labels)
 
     return ad.grad_check(fn, Tensor(x), h=FD_STEP, tol=tol)
@@ -123,8 +119,8 @@ def _check_pos_recon(rng, model, tol):
         raise RuntimeError("could not sample positive-recon inputs away from kinks")
 
     def fn(leaf):
-        emb_q = _split_embeddings(leaf, [0], cfg.id_dim)
-        emb_p = _split_embeddings(leaf, [1], cfg.id_dim)
+        emb_q = _split_embeddings(leaf, slice(0, 1), cfg.id_dim)
+        emb_p = _split_embeddings(leaf, slice(1, 2), cfg.id_dim)
         images_out = augment_positive(emb_q, emb_p, model)
         return positive_recon_loss(images_out, gray_q, gray_p)
 
@@ -159,8 +155,8 @@ def _check_neg_recon(rng, model, tol):
         raise RuntimeError("could not sample negative-recon inputs away from kinks")
 
     def fn(leaf):
-        emb_q = _split_embeddings(leaf, [0], cfg.id_dim)
-        emb_n = _split_embeddings(leaf, [1], cfg.id_dim)
+        emb_q = _split_embeddings(leaf, slice(0, 1), cfg.id_dim)
+        emb_n = _split_embeddings(leaf, slice(1, 2), cfg.id_dim)
         taps_out = augment_negative(emb_q, emb_n, model)
         return negative_recon_loss(taps_out, target_q, target_n)
 

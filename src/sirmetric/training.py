@@ -31,35 +31,29 @@ LOG_HEADER = ("step,cls_loss,triplet_loss,center_loss,cam_loss,"
               "pos_recon_loss,neg_recon_loss,total_loss")
 
 
-def resolve_dataset(config: RunConfig) -> Dataset:
-    """Load the configured dataset path or synthesize from the manifest."""
-    if config.data_path:
-        dataset = load_dataset(config.data_path)
-    else:
-        dataset = generate(config.data)
-    if dataset.images.shape[1:] != config.network.image_shape:
-        raise ConfigError(f"dataset images {dataset.images.shape[1:]} do not "
-                          f"match network input {config.network.image_shape}")
-    if int(dataset.labels.max()) >= config.network.num_identities:
-        raise ConfigError("dataset has more identities than the classifier heads")
-    return dataset
-
-
 class Trainer:
     """Runs the full objective over random triplets and records per-step
-    component losses."""
+    component losses.  The dataset is the one given, else the configured
+    path's, else the manifest's synthesis; an image shape other than the
+    network's, or a label of net.num_identities or more, is a ConfigError."""
 
     def __init__(self, config: RunConfig, dataset: Dataset | None = None,
                  model: ReidModel | None = None, optimizer: Adam | None = None,
                  registry: ClusterRegistry | None = None, start_step: int = 0):
+        if dataset is None:
+            dataset = load_dataset(config.data_path) if config.data_path else generate(config.data)
+        if dataset.images.shape[1:] != config.network.image_shape:
+            raise ConfigError(f"dataset images {dataset.images.shape[1:]} do not "
+                              f"match network input {config.network.image_shape}")
+        if int(dataset.labels.max()) >= config.network.num_identities:
+            raise ConfigError("dataset has more identities than the classifier heads")
         self.config = config
-        self.dataset = dataset if dataset is not None else resolve_dataset(config)
+        self.dataset = dataset
         self.model = model if model is not None else ReidModel(config.network, config.seed)
         self.optimizer = optimizer if optimizer is not None else Adam(
             self.model.params, lr=config.learning_rate, beta1=config.beta1,
             beta2=config.beta2, epsilon=config.epsilon)
-        self.registry = registry if registry is not None else ClusterRegistry(
-            config.refresh_period_epochs)
+        self.registry = registry if registry is not None else ClusterRegistry()
         self.step = int(start_step)
         self.loss_rows: list[tuple] = []
 
@@ -67,15 +61,14 @@ class Trainer:
     def from_checkpoint(cls, ckpt_dir, config: RunConfig,
                         dataset: Dataset | None = None) -> "Trainer":
         """Resume: the checkpoint supplies the state (parameters, Adam moments and
-        t, centers, step); the run config all else, all four Adam settings and the
-        center refresh period too."""
+        t, centers and their epoch, step); the run config all else, all four Adam
+        settings and the center refresh period too."""
         model, optimizer, registry, meta = load_checkpoint(ckpt_dir)
         if model.config != config.network:
             raise ConfigError("checkpoint network configuration does not match "
                               "the run config")
         optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.epsilon = (
             config.learning_rate, config.beta1, config.beta2, config.epsilon)
-        registry.refresh_period_epochs = config.refresh_period_epochs
         return cls(config, dataset=dataset, model=model, optimizer=optimizer,
                    registry=registry, start_step=meta.parse("step", int))
 
@@ -101,7 +94,8 @@ class Trainer:
                     epoch = self.step // cfg.steps_per_epoch
                     if save_checkpoints and epoch > 0:
                         self._save(f"ckpt_step_{self.step}")
-                    if self.registry.should_refresh(epoch):
+                    last = self.registry.last_refresh_epoch
+                    if last is None or epoch - last >= cfg.refresh_period_epochs:
                         self._refresh_centers(epoch)
                 row = self.train_step()
                 log.write(self._format_row(row) + "\n")
@@ -117,9 +111,7 @@ class Trainer:
 
     def _save(self, name: str) -> None:
         save_checkpoint(os.path.join(self.config.out_dir, name), self.model,
-                        self.optimizer, self.registry, self.step,
-                        eval_alpha=self.config.eval_alpha,
-                        eval_flip=self.config.eval_flip)
+                        self.optimizer, self.registry, self.step, self.config)
 
     @staticmethod
     def _format_row(row: tuple) -> str:
@@ -130,8 +122,6 @@ class Trainer:
         non-finite loss component raises ValueError before backward, so the
         parameters and Adam state stay as they were."""
         cfg = self.config
-        if not self.registry.centers:
-            raise RuntimeError("cluster registry is empty; refresh before stepping")
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, self.step)))
         losses = step_losses(self.model, *draw_step(self.dataset, rng, cfg),
                              self.registry.centers_matrix(), cfg)

@@ -275,6 +275,21 @@ def test_grad_check_flags_wrong_gradient():
     assert report.max_rel_error > 0.4
 
 
+@pytest.mark.parametrize("name,value", [("h", 0.0), ("h", float("nan")), ("tol", float("nan")),
+                                        ("tol", float("inf")), ("tol", 0.0), ("tol", -1e-4)])
+def test_grad_check_step_and_tolerance_must_be_finite_and_positive(name, value):
+    """A nan tolerance would fail every check and an infinite one pass it."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return tensor_sum(t)
+
+    with pytest.raises(ValueError, match=rf"^grad_check {name} must be finite and > 0"):
+        ad.grad_check(f, Tensor([1.0]), **{name: value})
+    assert not calls
+
+
 # ---- fused ops against the primitive chains they replace ----------------
 
 

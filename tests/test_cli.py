@@ -71,6 +71,42 @@ def test_gradcheck_impossible_tolerance_exits_two(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-4"])
+def test_gradcheck_tolerance_must_be_finite_and_positive(capsys, tol):
+    assert main(["gradcheck", "--seed", "0", f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith("error: grad_check tol must be finite and > 0") and "\n" not in err
+    assert captured.out == ""
+
+
+def _one_error_line(capsys, argv) -> str:
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    return err
+
+
+def test_train_config_path_naming_a_directory_is_error(tmp_path, capsys):
+    assert str(tmp_path) in _one_error_line(capsys, ["train", "--config", str(tmp_path)])
+
+
+def test_train_out_naming_an_existing_file_is_error(tmp_path, capsys):
+    config_path, _ = _write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    err = _one_error_line(capsys, ["train", "--config", config_path, "--out", str(taken)])
+    assert str(taken) in err
+    assert taken.read_text() == ""
+
+
+def test_export_out_naming_a_directory_is_error(tmp_path, capsys):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    err = _one_error_line(capsys, ["export-embeddings", "--ckpt", ckpt, "--data", data_dir,
+                                   "--out", str(tmp_path)])
+    assert str(tmp_path) in err
+
+
 def test_synth_writes_loadable_dataset(tmp_path, capsys):
     out = str(tmp_path / "data")
     assert main(["synth", "--ids", "4", "--per-id", "10",
@@ -158,14 +194,20 @@ def test_bad_config_key_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["optim.beta1=1.5", "optim.epsilon=-1", "eval.alpha=nan",
-                                  "loss.cls_weight=nan", "optim.learning_rate=inf"])
+                                  "loss.cls_weight=nan", "optim.learning_rate=inf",
+                                  "train.batch_size=0", "train.steps_per_epoch=0",
+                                  "train.epochs=-1", "train.grayscale_prob=-0.5",
+                                  "train.refresh_period_epochs=0"])
 def test_out_of_range_config_value_exits_one_naming_the_key(tmp_path, capsys, line):
     config_path, out_dir = _write_config(tmp_path)
-    with open(config_path, "a") as handle:
-        handle.write(line + "\n")
+    key = line.split("=")[0]
+    with open(config_path) as handle:  # the line replaces the tiny config's own value
+        kept = [text for text in handle if not text.startswith(key + "=")]
+    with open(config_path, "w") as handle:
+        handle.write("".join(kept) + line + "\n")
     assert main(["train", "--config", config_path]) == 1
     err = capsys.readouterr().err.strip()
-    assert err.startswith(f"error: {line.split('=')[0]} must be ") and "\n" not in err
+    assert err.startswith(f"error: {key} must be ") and "\n" not in err
     assert not os.path.exists(out_dir)  # rejected before any data or training
 
 

@@ -1,4 +1,4 @@
-"""Center computation and refresh schedule."""
+"""Center computation; the refresh schedule is the Trainer's (test_training.py)."""
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,6 +69,16 @@ def test_missing_identity_raises():
         registry.refresh(np.ones((2, 2)), np.array([0, 1]), model, epoch=0)
 
 
+@pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1]], ids=["above", "below"])
+def test_label_outside_the_identities_raises(labels):
+    """Every identity 0..1 is present, plus a label the heads do not have:
+    it would be a third row of a two-identity center matrix."""
+    registry = ClusterRegistry()
+    with pytest.raises(ValueError, match=r"^labels outside identities 0\.\.1: \[-?[12]\]$"):
+        registry.refresh(np.ones((3, 2)), np.array(labels), _PassthroughModel(2, 2), epoch=0)
+    assert registry.centers is None and registry.last_refresh_epoch is None
+
+
 def test_refresh_idempotent_with_frozen_model():
     cfg = NetworkConfig(image_shape=(1, 4, 4), feature_shape=(3, 2, 2),
                         id_dim=4, app_dim=2, num_identities=3, id_dropout=0.5)
@@ -78,10 +88,9 @@ def test_refresh_idempotent_with_frozen_model():
     labels = np.repeat(np.arange(3), 3)
     registry = ClusterRegistry()
     registry.refresh(images, labels, model, epoch=0)
-    first = {k: v.copy() for k, v in registry.centers.items()}
+    first = registry.centers.copy()
     registry.refresh(images, labels, model, epoch=1)
-    for k in first:
-        np.testing.assert_array_equal(first[k], registry.centers[k])
+    np.testing.assert_array_equal(first, registry.centers)
 
 
 def test_center_norms_below_one():
@@ -93,27 +102,14 @@ def test_center_norms_below_one():
     registry.refresh(rng.uniform(size=(12, 1, 4, 4)), np.repeat(np.arange(3), 4),
                      model, epoch=0)
     matrix = registry.centers_matrix()
+    assert matrix is registry.centers and matrix.dtype == np.float64
     assert matrix.shape == (3, 4)
     assert np.all(np.linalg.norm(matrix, axis=1) < 1.0)
 
 
-def test_refresh_schedule():
-    registry = ClusterRegistry(refresh_period_epochs=1)
-    assert registry.should_refresh(0)  # empty registry
-    registry.set_centers({0: np.zeros(2), 1: np.ones(2)}, last_refresh_epoch=3)
-    assert registry.should_refresh(4)
-    slow = ClusterRegistry(refresh_period_epochs=2)
-    slow.set_centers({0: np.zeros(2)}, last_refresh_epoch=3)
-    assert not slow.should_refresh(4)
-    assert slow.should_refresh(5)
-
-
-def test_centers_matrix_requires_contiguous_identities():
+def test_centers_matrix_requires_a_refresh():
     registry = ClusterRegistry()
-    with pytest.raises(ValueError):
-        registry.centers_matrix()
-    registry.set_centers({0: np.zeros(2), 2: np.ones(2)}, last_refresh_epoch=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="refresh before stepping"):
         registry.centers_matrix()
 
 
@@ -128,5 +124,4 @@ def test_refresh_uses_eval_mode_despite_dropout():
     b = ClusterRegistry()
     a.refresh(images, labels, model, epoch=0)
     b.refresh(images, labels, model, epoch=0)
-    for k in a.centers:
-        np.testing.assert_array_equal(a.centers[k], b.centers[k])
+    np.testing.assert_array_equal(a.centers, b.centers)

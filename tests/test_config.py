@@ -106,7 +106,7 @@ def test_on_disk_key_text_is_frozen(tmp_path):
     save_dataset(generate(DatasetManifest()), tmp_path / "ds")
     assert _meta_text(tmp_path / "ds") == DEFAULT_DATASET_META
     model = ReidModel(NetworkConfig(), seed=0)
-    save_checkpoint(tmp_path / "ckpt", model, Adam(model.params), ClusterRegistry(1), 0)
+    save_checkpoint(tmp_path / "ckpt", model, Adam(model.params), ClusterRegistry(), 0, RunConfig())
     assert _meta_text(tmp_path / "ckpt") == DEFAULT_CHECKPOINT_META
 
 
@@ -208,7 +208,9 @@ def test_overrides():
     "optim.learning_rate=nan", "optim.learning_rate=inf", "optim.beta1=1.5",
     "optim.beta1=-0.1", "optim.beta2=1.0", "optim.beta2=nan", "optim.epsilon=-1",
     "optim.epsilon=0.0", "optim.epsilon=inf", "loss.cls_weight=nan", "loss.margin=inf",
-    "loss.center_weight=-inf", "eval.alpha=nan", "eval.alpha=-inf"])
+    "loss.center_weight=-inf", "eval.alpha=nan", "eval.alpha=-inf", "train.batch_size=0",
+    "train.steps_per_epoch=0", "train.epochs=-1", "train.grayscale_prob=1.5",
+    "train.grayscale_prob=nan", "train.refresh_period_epochs=0"])
 def test_out_of_range_optimizer_loss_and_eval_values_name_their_key(line):
     key = line.split("=")[0]
     with pytest.raises(ConfigError, match=rf"^{key} must be "):

@@ -10,7 +10,7 @@ from sirmetric import training
 from sirmetric.autodiff import no_grad
 from sirmetric.checkpoint import load_checkpoint, save_checkpoint
 from sirmetric.clusters import ClusterRegistry
-from sirmetric.config import RunConfig
+from sirmetric.config import ConfigError, RunConfig
 from sirmetric.data import DatasetManifest, generate, randomly_grayscale, sample_triplet
 from sirmetric.evaluate import evaluate_retrieval, metrics_json
 from sirmetric.losses import LossWeights
@@ -83,8 +83,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     trainer = Trainer(config)
     trainer.run(save_checkpoints=False)
     ckpt = tmp_path / "ckpt"
-    save_checkpoint(ckpt, trainer.model, trainer.optimizer, trainer.registry,
-                    trainer.step, eval_alpha=0.33, eval_flip=False)
+    save_checkpoint(ckpt, trainer.model, trainer.optimizer, trainer.registry, trainer.step,
+                    replace(config, eval_alpha=0.33, eval_flip=False, refresh_period_epochs=3))
     model, optimizer, registry, meta = load_checkpoint(ckpt)
     assert model.config == TINY_NET
     for name, param in trainer.model.params.items():
@@ -94,11 +94,12 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert optimizer.t == trainer.optimizer.t
     assert optimizer.lr == trainer.optimizer.lr
     assert registry.last_refresh_epoch == trainer.registry.last_refresh_epoch
-    for ident, center in trainer.registry.centers.items():
-        np.testing.assert_array_equal(registry.centers[ident], center)
+    assert registry.centers.shape == trainer.registry.centers.shape == (4, 6)
+    assert registry.centers.tobytes() == trainer.registry.centers.tobytes()
     assert meta["step"] == "3"
     assert meta["eval.alpha"] == "0.33"
     assert meta["eval.flip"] == "false"
+    assert meta["registry.refresh_period_epochs"] == "3"
 
 
 def test_load_checkpoint_rejects_dataset_archive(tmp_path):
@@ -165,12 +166,11 @@ def test_resume_takes_the_refresh_period_from_the_run_config(tmp_path):
     Trainer(_tiny_config(tmp_path, seed=11, epochs=1)).run()
     config = _tiny_config(tmp_path / "b", seed=11, refresh_period_epochs=2)
     resumed = Trainer.from_checkpoint(tmp_path / "run" / "ckpt_final", config)
-    assert resumed.registry.refresh_period_epochs == 2
     resumed.run()
     # refreshed at epoch 0 in the first run; period 2 makes epoch 1 no refresh epoch
     assert resumed.registry.last_refresh_epoch == 0
-    _, _, registry, _ = load_checkpoint(tmp_path / "b" / "run" / "ckpt_final")
-    assert registry.refresh_period_epochs == 2
+    _, _, _, meta = load_checkpoint(tmp_path / "b" / "run" / "ckpt_final")
+    assert meta["registry.refresh_period_epochs"] == "2"
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.0])
@@ -195,12 +195,54 @@ def test_draw_step_draws_triplets_then_coins_then_keep_mask(rate):
     assert drawn_rng.random() == rng.random()  # nothing else was drawn
 
 
+def _record_refreshes(registry) -> list:
+    """The epochs ``registry.refresh`` runs at from now on."""
+    epochs, refresh = [], registry.refresh
+
+    def recording(images, labels, model, epoch):
+        epochs.append(epoch)
+        refresh(images, labels, model, epoch)
+
+    registry.refresh = recording
+    return epochs
+
+
 def test_trainer_epoch_refresh_schedule(tmp_path):
-    config = _tiny_config(tmp_path, epochs=3, refresh_period_epochs=2)
-    trainer = Trainer(config)
-    trainer.run(save_checkpoints=False)
-    # refreshes at epoch 0 (cold start) and epoch 2
-    assert trainer.registry.last_refresh_epoch == 2
+    """A cold start refreshes at epoch 0, then every ``period`` epochs of a
+    4-epoch run."""
+    for period, expected in ((1, [0, 1, 2, 3]), (2, [0, 2]), (3, [0, 3])):
+        trainer = Trainer(_tiny_config(tmp_path / str(period), epochs=4,
+                                       refresh_period_epochs=period))
+        refreshed = _record_refreshes(trainer.registry)
+        trainer.run(save_checkpoints=False)
+        assert refreshed == expected, period
+        assert trainer.registry.last_refresh_epoch == expected[-1]
+
+
+def test_resume_from_a_mid_period_checkpoint_keeps_the_schedule(tmp_path):
+    """Period 3 refreshes at epochs 0 and 3; a resume from the epoch-2
+    checkpoint (centers of epoch 0) refreshes at 3 only and retraces the log."""
+    config = _tiny_config(tmp_path, seed=11, epochs=4, refresh_period_epochs=3)
+    Trainer(config).run()
+    expected = (tmp_path / "run" / "loss_log.csv").read_bytes()
+    resumed = Trainer.from_checkpoint(tmp_path / "run" / "ckpt_step_6", config)
+    assert (resumed.step, resumed.registry.last_refresh_epoch) == (6, 0)
+    refreshed = _record_refreshes(resumed.registry)
+    resumed.run()
+    assert refreshed == [3]
+    assert (tmp_path / "run" / "loss_log.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("edit,message", [("identities", "more identities than the classifier"),
+                                          ("channels", r"\(3, 8, 4\) do not match network")])
+def test_trainer_rejects_a_given_dataset_that_does_not_fit_the_network(tmp_path, edit, message):
+    """A dataset passed in is checked as a loaded or synthesized one is: 8
+    identities under 4-identity heads, or 3-channel images under a 1-channel
+    backbone."""
+    manifest = (replace(TINY_DATA, num_identities=8) if edit == "identities"
+                else replace(TINY_DATA, image_shape=(3, 8, 4)))
+    with pytest.raises(ConfigError, match=message):
+        Trainer(_tiny_config(tmp_path), dataset=generate(manifest))
 
 
 def test_loss_log_digest_is_frozen(tmp_path):
