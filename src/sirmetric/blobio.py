@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -91,10 +92,23 @@ class Entries(dict):
         return {name: self.parse(key, parser) for key, name, parser in table}
 
 
+def _is_archive(path) -> bool:
+    """False if nothing is at ``path``, True if an archive directory is;
+    anything else, which a swap must not delete, raises ArchiveError."""
+    if not os.path.lexists(path):
+        return False
+    if (os.path.islink(path) or not os.path.isdir(path)
+            or not set(os.listdir(path)) <= {MANIFEST_NAME, BLOB_NAME}):
+        raise ArchiveError(f"{path} is not an archive directory; not replacing it")
+    return True
+
+
 def write_archive(dir_path, meta: dict, tensors: dict) -> None:
-    """Write manifest + blob; creates the directory if needed.  Tensor
-    values are converted to float64; meta values go through format_value."""
-    os.makedirs(dir_path, exist_ok=True)
+    """Write manifest + blob into a fresh ``<dir>.tmp`` and swap it in via
+    ``<dir>.old``: ``dir_path`` holds the old archive, the new one or
+    nothing, never a partial one, even if the process is killed (nothing is
+    fsynced, so not on power loss).  Tensor values are converted to
+    float64; meta values go through format_value."""
     lines = [f"format={FORMAT_TAG}"]
     for key, value in meta.items():
         key = str(key)
@@ -104,15 +118,27 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
         if "\n" in value:
             raise ArchiveError(f"meta value for {key!r} contains a newline")
         lines.append(f"{key}={value}")
+    path = os.path.abspath(dir_path)
+    tmp, old = path + ".tmp", path + ".old"
+    replacing = _is_archive(path)
+    for stale in (tmp, old):  # left by an interrupted write
+        if _is_archive(stale):
+            shutil.rmtree(stale)
+    os.makedirs(tmp)
     offset = 0
-    with open(os.path.join(dir_path, BLOB_NAME), "wb") as handle:
+    with open(os.path.join(tmp, BLOB_NAME), "wb") as handle:
         for name in sorted(tensors):
             array = np.ascontiguousarray(tensors[name], dtype="<f8")
             lines.append(f"tensor.{name}={format_value(array.shape)}:{offset}")
             handle.write(array.data)
             offset += array.nbytes
-    with open(os.path.join(dir_path, MANIFEST_NAME), "w") as handle:
+    with open(os.path.join(tmp, MANIFEST_NAME), "w") as handle:
         handle.write("\n".join(lines) + "\n")
+    if replacing:
+        os.replace(path, old)
+    os.replace(tmp, path)
+    if replacing:
+        shutil.rmtree(old)
 
 
 def read_archive(dir_path):

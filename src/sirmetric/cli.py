@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -83,8 +84,21 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which main prints as one ``error:``
+    line; a token like "-1e-4" or "-inf" is a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern knows neither exponents nor inf
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf$|nan$)", re.IGNORECASE)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sirmetric",
         description="Desk-scale metric learning for long-term re-identification")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -127,17 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; fold into the usage-error code
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 1
     except (ValueError, OSError) as exc:
-        # ConfigError and ArchiveError are ValueErrors; a missing file, a
-        # directory where a file belongs (or the reverse) are OSErrors
+        # usage errors, ConfigError and ArchiveError are ValueErrors; a missing
+        # file, a directory where a file belongs (or the reverse) are OSErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,18 +39,31 @@ def _write_config(tmp_path):
 
 
 def test_no_command_is_usage_error(capsys):
-    assert main([]) == 1
-    capsys.readouterr()
+    assert _one_error_line(capsys, []) == "error: the following arguments are required: command"
 
 
 def test_unknown_command_is_usage_error(capsys):
-    assert main(["frobnicate"]) == 1
-    capsys.readouterr()
+    assert _one_error_line(capsys, ["frobnicate"]).startswith(
+        "error: argument command: invalid choice: 'frobnicate'")
 
 
 def test_missing_required_flag_is_usage_error(capsys):
-    assert main(["train"]) == 1
-    capsys.readouterr()
+    assert _one_error_line(capsys, ["train"]) == (
+        "error: the following arguments are required: --config")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gradcheck", "--tol"], "argument --tol: expected one argument"),
+    (["gradcheck", "--tol", "-1x"], "argument --tol: invalid float value: '-1x'"),
+], ids=["missing-value", "bad-float"])
+def test_bad_option_value_is_one_error_line(capsys, argv, message):
+    assert _one_error_line(capsys, argv) == f"error: {message}"
+
+
+@pytest.mark.parametrize("tol", ["-1e-4", "-1E-4", "-.5e1", "-inf"])
+def test_negative_tolerance_in_any_float_spelling_reaches_the_range_check(capsys, tol):
+    assert _one_error_line(capsys, ["gradcheck", "--seed", "0", "--tol", tol]).startswith(
+        "error: grad_check tol must be finite and > 0")
 
 
 def test_help_exits_zero(capsys):
@@ -118,6 +131,17 @@ def test_synth_writes_loadable_dataset(tmp_path, capsys):
     assert len(dataset.train_idx) == 24
     assert len(dataset.query_idx) == 8
     assert len(dataset.gallery_idx) == 8
+
+
+def test_synth_over_a_directory_holding_other_files_is_error(tmp_path, capsys):
+    """synth would swap a fresh archive in for the directory; one holding
+    anything but an archive is refused, and the user's file stays."""
+    notes = tmp_path / "notes.txt"
+    notes.write_text("keep")
+    err = _one_error_line(capsys, ["synth", "--ids", "4", "--per-id", "5", "--seed", "1",
+                                   "--out", str(tmp_path)])
+    assert f"{tmp_path} is not an archive directory" in err
+    assert sorted(os.listdir(tmp_path)) == ["notes.txt"] and notes.read_text() == "keep"
 
 
 def test_train_one_step_on_a_thousand_identities(tmp_path, capsys):
@@ -282,6 +306,15 @@ def test_non_finite_eval_alpha_is_error(tmp_path, capsys, flags, stored):
     assert "alpha must be finite" in _eval_error(ckpt, data_dir, capsys, *flags)
 
 
+def test_negative_eval_alpha_in_scientific_notation_is_a_value(tmp_path, capsys):
+    """-1e-3 is a finite alpha and is used; -1e999 overflows to -inf and
+    meets the finiteness check, not argparse's "expected one argument"."""
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    assert main(["eval", "--ckpt", ckpt, "--data", data_dir, "--alpha", "-1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == -1e-3
+    assert "alpha must be finite" in _eval_error(ckpt, data_dir, capsys, "--alpha", "-1e999")
+
+
 def test_checkpoint_param_shape_mismatch_names_tensor(tmp_path, capsys):
     ckpt, data_dir = _trained_run(tmp_path, capsys)
     _edit_manifest(ckpt, "net.id_dim", "5")
@@ -412,6 +445,5 @@ def test_dataset_disagreeing_with_manifest_is_error(tmp_path, capsys, name):
 
 
 def test_flip_flag_rejects_junk(capsys):
-    code = main(["eval", "--ckpt", "x", "--data", "y", "--flip", "maybe"])
-    assert code == 1
-    capsys.readouterr()
+    assert _one_error_line(capsys, ["eval", "--ckpt", "x", "--data", "y", "--flip", "maybe"]) == (
+        "error: argument --flip: invalid choice: 'maybe' (choose from 'true', 'false')")

@@ -436,3 +436,76 @@ def test_archive_tensor_lines_in_any_order_load_as_views(tmp_path):
     np.testing.assert_array_equal(tensors["z"], np.arange(3.0))
     # one buffer: each tensor is a writable view of its own extent
     assert tensors["x"].base is tensors["z"].base is not None and tensors["y"].flags.writeable
+
+
+OLD_TENSORS = {"x": np.arange(4.0), "y": np.ones((2, 2))}
+
+
+def _raise_on_swap(*args):
+    raise OSError("swap failed")
+
+
+@pytest.mark.parametrize("fault", ["conversion", "swap"])
+def test_interrupted_archive_write_keeps_the_old_archive(tmp_path, monkeypatch, fault):
+    """A write that fails after some bytes are out (a tensor that cannot
+    become float64, sorted after one that could; or a failed swap) leaves
+    the previous archive loading bit-identically, and the next write clears
+    the stray ``<dir>.tmp``."""
+    path = tmp_path / "a"
+    write_archive(path, {"kind": "old"}, OLD_TENSORS)
+    new = {"a": np.arange(3.0), "b": np.array(["x"]) if fault == "conversion" else np.zeros(2)}
+    with monkeypatch.context() as patch:
+        if fault == "swap":
+            patch.setattr("os.replace", _raise_on_swap)
+        with pytest.raises((ValueError, OSError)):
+            write_archive(path, {"kind": "new"}, new)
+    meta, tensors = read_archive(path)
+    assert meta == {"kind": "old"}
+    assert {name: t.tobytes() for name, t in tensors.items()} == {
+        name: t.tobytes() for name, t in OLD_TENSORS.items()}
+    write_archive(path, {"kind": "new"}, {"a": np.arange(3.0)})
+    assert read_archive(path)[0] == {"kind": "new"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
+
+def test_archive_rewrite_swaps_in_new_files(tmp_path):
+    """Rewriting an archive creates a new blob rather than truncating the
+    old one, through any spelling of the path; it clears the ``<dir>.tmp``
+    and ``<dir>.old`` a killed write can leave, and leaves neither."""
+    path = tmp_path / "a"
+    write_archive(path, {}, OLD_TENSORS)
+    write_archive(tmp_path / "a.old", {}, OLD_TENSORS)
+    (tmp_path / "a.tmp").mkdir()
+    (tmp_path / "a.tmp" / "data.blob").write_bytes(bytes(8))
+    first = (path / "data.blob").stat().st_ino
+    write_archive(str(path) + "/", {}, {"x": np.arange(2.0)})
+    assert (path / "data.blob").stat().st_ino != first
+    np.testing.assert_array_equal(read_archive(path)[1]["x"], np.arange(2.0))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
+
+def _tree(root) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("kind", ["file", "symlink", "directory", "stale-tmp"])
+def test_write_archive_refuses_to_replace_what_is_not_an_archive(tmp_path, kind):
+    """A file, a symlink (even to an archive) or a directory holding other
+    entries, at the target or at its ``<dir>.tmp``, is refused by name
+    before anything is written or removed."""
+    path = tmp_path / "a"
+    write_archive(tmp_path / "b", {}, OLD_TENSORS)
+    refused = tmp_path / "a.tmp" if kind == "stale-tmp" else path
+    if kind == "file":
+        path.write_text("keep")
+    elif kind == "symlink":
+        path.symlink_to(tmp_path / "b")
+    else:
+        refused.mkdir()
+        (refused / "notes.txt").write_text("keep")
+        (refused / "data.blob").write_bytes(bytes(8))
+    before = _tree(tmp_path)
+    with pytest.raises(ArchiveError) as info:
+        write_archive(path, {}, {"x": np.arange(2.0)})
+    assert f"{refused} is not an archive directory" in str(info.value)
+    assert _tree(tmp_path) == before

@@ -139,6 +139,12 @@ def test_resume_in_same_dir_keeps_loss_log(tmp_path):
     # resuming from an earlier checkpoint drops the log rows after it
     Trainer.from_checkpoint(tmp_path / "run" / "ckpt_step_3", config).run()
     assert (tmp_path / "run" / "loss_log.csv").read_bytes() == expected
+    # a fresh run over the same directory swaps in every ckpt_* archive
+    Trainer(config).run()
+    for name in ("loss_log.csv", "ckpt_final/data.blob", "ckpt_step_3/data.blob"):
+        assert (tmp_path / "run" / name).read_bytes() == (
+            tmp_path / "full" / "run" / name).read_bytes(), name
+    assert not list((tmp_path / "run").glob("*.tmp")) + list((tmp_path / "run").glob("*.old"))
 
 
 def test_resume_takes_every_adam_setting_from_the_run_config(tmp_path):
