@@ -36,6 +36,7 @@ class GraphError(RuntimeError):
 
 
 _GRAD_ENABLED = True
+_FLOAT64 = np.dtype(np.float64)
 
 
 @contextmanager
@@ -73,7 +74,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_rule", "_spent", "_owned")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # a float64 array is taken as is; anything else is converted
+        self.data = (data if type(data) is np.ndarray and data.dtype is _FLOAT64
+                     else np.asarray(data, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents: tuple = ()
@@ -319,10 +322,11 @@ def dense(x, w, b, act: str = "none") -> Tensor:
             or b.data.shape != w.data.shape[1:]):
         raise ShapeError(f"dense: incompatible shapes {x.data.shape}, {w.data.shape}, "
                          f"{b.data.shape}")
-    z = x.data @ w.data + b.data
+    z = x.data @ w.data
+    z += b.data
     if act == "relu":
-        data = np.maximum(z, 0.0)
         active = z > 0.0
+        data = np.maximum(z, 0.0, out=z)
     elif act == "sigmoid":
         data = 1.0 / (1.0 + np.exp(-z))
     elif act == "none":
@@ -354,7 +358,8 @@ def _softmax_cross_entropy(z: np.ndarray, target: np.ndarray):
     shift = z.max(axis=1, keepdims=True)
     exps = np.exp(z - shift)
     summed = exps.sum(axis=1)
-    return (np.log(summed) + shift.reshape(-1) - (z * target).sum(axis=1)).mean(), exps, summed
+    losses = np.log(summed) + shift.reshape(-1) - (z * target).sum(axis=1)
+    return losses.sum() / losses.size, exps, summed
 
 
 def _softmax_cross_entropy_grads(g, exps, summed, target):
@@ -414,7 +419,7 @@ def l1_terms(outputs, targets) -> Tensor:
              for t, target in zip(outputs, targets, strict=True)]
     data = None
     for diff in diffs:
-        term = np.abs(diff).mean()
+        term = np.abs(diff).sum() / diff.size
         data = term if data is None else data + term
     if not _recording(*outputs):
         return Tensor(data)
@@ -457,7 +462,7 @@ def triplet_hinge(q, p, n, margin: float) -> Tensor:
     diff_p = q.data - p.data
     diff_n = q.data - n.data
     hinge = (diff_p * diff_p).sum(axis=1) - (diff_n * diff_n).sum(axis=1) + margin
-    data = np.maximum(hinge, 0.0).mean()
+    data = np.maximum(hinge, 0.0).sum() / hinge.size
     if not _recording(q, p, n):
         return Tensor(data)
 
@@ -518,9 +523,10 @@ class Adam:
             self._scratch = np.empty((2,) + self._flat.shape)
         (g, a), m, v = self._scratch, self._m, self._v
         np.concatenate([p.grad.reshape(-1) for p in self.params.values()], out=g)
-        # elementwise the per-parameter update
+        # elementwise the per-parameter update, with the bias corrections
+        # folded into two scalars (Kingma & Ba 2015, section 2)
         #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
-        #   p -= lr (m / bc1) / (sqrt(v / bc2) + epsilon)
+        #   p -= (m / (sqrt(v) (1 / sqrt(bc2)) + epsilon)) (lr / bc1)
         # in the same operation order, so the bits match
         np.multiply(m, self.beta1, out=m)
         np.multiply(g, 1.0 - self.beta1, out=a)
@@ -529,12 +535,11 @@ class Adam:
         np.multiply(g, g, out=a)
         np.multiply(a, 1.0 - self.beta2, out=a)
         np.add(v, a, out=v)
-        np.divide(m, bc1, out=a)
-        np.multiply(a, self.lr, out=a)
-        np.divide(v, bc2, out=g)  # g is spent; reuse it
-        np.sqrt(g, out=g)
+        np.sqrt(v, out=g)  # g is spent; reuse it
+        np.multiply(g, 1.0 / math.sqrt(bc2), out=g)
         np.add(g, self.epsilon, out=g)
-        np.divide(a, g, out=a)
+        np.divide(m, g, out=a)
+        np.multiply(a, self.lr / bc1, out=a)
         np.subtract(self._flat, a, out=self._flat)
         for p in self.params.values():
             p.grad = None

@@ -107,8 +107,10 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
     """Write manifest + blob into a fresh ``<dir>.tmp`` and swap it in via
     ``<dir>.old``: ``dir_path`` holds the old archive, the new one or
     nothing, never a partial one, even if the process is killed (nothing is
-    fsynced, so not on power loss).  Tensor values are converted to
-    float64; meta values go through format_value."""
+    fsynced, so not on power loss).  A write that raises removes its
+    ``<dir>.tmp``.  The working directory, or a directory holding it, is
+    refused: the swap would leave the caller in a deleted directory.  Tensor
+    values are converted to float64; meta values go through format_value."""
     lines = [f"format={FORMAT_TAG}"]
     for key, value in meta.items():
         key = str(key)
@@ -119,24 +121,31 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
             raise ArchiveError(f"meta value for {key!r} contains a newline")
         lines.append(f"{key}={value}")
     path = os.path.abspath(dir_path)
+    real = os.path.realpath(path)
+    if os.path.commonpath([real, os.getcwd()]) == real:
+        raise ArchiveError(f"{path} is or holds the working directory; not replacing it")
     tmp, old = path + ".tmp", path + ".old"
     replacing = _is_archive(path)
     for stale in (tmp, old):  # left by an interrupted write
         if _is_archive(stale):
             shutil.rmtree(stale)
     os.makedirs(tmp)
-    offset = 0
-    with open(os.path.join(tmp, BLOB_NAME), "wb") as handle:
-        for name in sorted(tensors):
-            array = np.ascontiguousarray(tensors[name], dtype="<f8")
-            lines.append(f"tensor.{name}={format_value(array.shape)}:{offset}")
-            handle.write(array.data)
-            offset += array.nbytes
-    with open(os.path.join(tmp, MANIFEST_NAME), "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    if replacing:
-        os.replace(path, old)
-    os.replace(tmp, path)
+    try:
+        offset = 0
+        with open(os.path.join(tmp, BLOB_NAME), "wb") as handle:
+            for name in sorted(tensors):
+                array = np.ascontiguousarray(tensors[name], dtype="<f8")
+                lines.append(f"tensor.{name}={format_value(array.shape)}:{offset}")
+                handle.write(array.data)
+                offset += array.nbytes
+        with open(os.path.join(tmp, MANIFEST_NAME), "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        if replacing:
+            os.replace(path, old)
+        os.replace(tmp, path)
+    except BaseException:  # any failure, interrupts included: re-raised
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     if replacing:
         shutil.rmtree(old)
 

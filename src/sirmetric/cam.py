@@ -43,24 +43,24 @@ def build_pseudo_gt_batch(f_query: np.ndarray, f_negative: np.ndarray,
 
 
 def augment_positive(emb_query: DisentangledEmbedding,
-                     emb_positive: DisentangledEmbedding, model: ReidModel):
-    """Three generator images from swapped embeddings, in the order
-    (id_p + app_q, id_q + app_p, id_q + app_q).  One stacked forward."""
-    batch = emb_query.id_feat.shape[0]
-    ids = ad.concat([emb_positive.id_feat, emb_query.id_feat, emb_query.id_feat], axis=0)
-    apps = ad.concat([emb_query.app_feat, emb_positive.app_feat, emb_query.app_feat], axis=0)
-    _, images = model.generator_forward(ids, apps)
-    return images[:batch], images[batch:2 * batch], images[2 * batch:]
+                     emb_positive: DisentangledEmbedding) -> list:
+    """The positive reconstruction's three embedding swaps, as (id, appearance)
+    pairs in the order (id_p + app_q, id_q + app_p, id_q + app_q); their
+    generator images are compared with grayscale targets."""
+    return [(emb_positive.id_feat, emb_query.app_feat),
+            (emb_query.id_feat, emb_positive.app_feat),
+            (emb_query.id_feat, emb_query.app_feat)]
 
 
 def augment_negative(emb_query: DisentangledEmbedding,
-                     emb_negative: DisentangledEmbedding, model: ReidModel,
+                     emb_negative: DisentangledEmbedding,
                      swap_second_appearance: bool = False,
-                     emb_positive: DisentangledEmbedding | None = None):
-    """Two generator feature taps: (id_q + app_n, id_n + app_q).  Runs only
-    the generator's tap layers, not its image head.
+                     emb_positive: DisentangledEmbedding | None = None) -> list:
+    """The negative reconstruction's two embedding swaps, as (id, appearance)
+    pairs (id_q + app_n, id_n + app_q); their generator feature taps are
+    compared with pseudo-ground-truth maps.
 
-    With ``swap_second_appearance`` the second tap takes the positive's
+    With ``swap_second_appearance`` the second swap takes the positive's
     appearance instead of the query's (the alternative printed reading of
     the objective); that requires ``emb_positive``.
     """
@@ -70,11 +70,22 @@ def augment_negative(emb_query: DisentangledEmbedding,
         second_app = emb_positive.app_feat
     else:
         second_app = emb_query.app_feat
-    batch = emb_query.id_feat.shape[0]
-    ids = ad.concat([emb_query.id_feat, emb_negative.id_feat], axis=0)
-    apps = ad.concat([emb_negative.app_feat, second_app], axis=0)
-    taps = model.generator_tap(ids, apps).reshape((2 * batch,) + model.config.feature_shape)
-    return taps[:batch], taps[batch:]
+    return [(emb_query.id_feat, emb_negative.app_feat), (emb_negative.id_feat, second_app)]
+
+
+def generate_swaps(model: ReidModel, image_swaps: list, tap_swaps: list) -> tuple:
+    """One generator pass over (id, appearance) swaps of B rows each: (the
+    (B, 1, H, W) images of ``image_swaps``, the (B, C_b, H_b, W_b) feature
+    taps of ``tap_swaps``).  The tap layers run once over every swap's rows,
+    stacked in order, and the image head over the image swaps' rows only."""
+    swaps = image_swaps + tap_swaps
+    batch = swaps[0][0].shape[0]
+    ids = ad.concat([id_feat for id_feat, _ in swaps], axis=0)
+    apps = ad.concat([app_feat for _, app_feat in swaps], axis=0)
+    taps, images = model.generator_forward(ids, apps, image_rows=len(image_swaps) * batch)
+    blocks = [slice(k * batch, (k + 1) * batch) for k in range(len(swaps))]
+    return ([images[rows] for rows in blocks[:len(image_swaps)]],
+            [taps[rows] for rows in blocks[len(image_swaps):]])
 
 
 def write_cam_debug_csv(path, cam: np.ndarray, id_from_query: np.ndarray | None = None,

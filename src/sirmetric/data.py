@@ -104,15 +104,10 @@ def generate(manifest: DatasetManifest) -> Dataset:
                    np.arange(total) // per_id, train, query, gallery, manifest)
 
 
-def sample_triplet(dataset: Dataset, rng) -> tuple:
-    """Uniform random (query, positive, negative) train indices.
-
-    Query is uniform over train samples of identities with at least two
-    train samples; positive is a different sample of the same identity;
-    negative is any train sample of another identity.  The first call
-    builds a per-dataset index in O(T log T) time and O(T) memory for T
-    train samples; a negative is drawn by its rank among the non-members.
-    """
+def _sampler_index(dataset: Dataset) -> dict:
+    """The triplet sampler's per-dataset index, built by the first call in
+    O(T log T) time and O(T) memory for T train samples and cached on the
+    dataset."""
     cache = dataset._sampler_cache
     if not cache:
         # a stable sort groups each identity's train positions in train order;
@@ -121,13 +116,36 @@ def sample_triplet(dataset: Dataset, rng) -> tuple:
         positions = np.argsort(labels, kind="stable")
         idents, starts, counts = np.unique(labels[positions], return_index=True,
                                            return_counts=True)
-        adj = (positions - np.arange(len(positions)) + np.repeat(starts, counts)).tolist()
-        members = dataset.train_idx[positions].tolist()
+        adj = positions - np.arange(len(positions)) + np.repeat(starts, counts)
+        members = dataset.train_idx[positions]
         cache["train"] = dataset.train_idx.tolist()
-        cache["by_id"] = {ident: (members[s:s + c], adj[s:s + c]) for ident, s, c
+        member_list, adj_list = members.tolist(), adj.tolist()
+        cache["by_id"] = {ident: (member_list[s:s + c], adj_list[s:s + c]) for ident, s, c
                           in zip(idents.tolist(), starts.tolist(), counts.tolist())}
         cache["eligible"] = [(q, ident, slot) for ident, (same, _) in cache["by_id"].items()
                              if len(same) >= 2 for slot, q in enumerate(same)]
+        # sample_triplets' tables, when every eligible identity has the same m
+        # members and a negative exists: one row of members and adj per identity
+        eligible = counts >= 2
+        sizes = np.unique(counts[eligible])
+        cache["uniform"] = None
+        if len(sizes) == 1 and len(labels) > sizes[0]:
+            rows = starts[eligible, None] + np.arange(sizes[0])
+            cache["uniform"] = (members[rows], adj[rows], dataset.train_idx)
+    return cache
+
+
+def sample_triplet(dataset: Dataset, rng) -> tuple:
+    """Uniform random (query, positive, negative) train indices.
+
+    Query is uniform over train samples of identities with at least two
+    train samples; positive is a different sample of the same identity;
+    negative is any train sample of another identity.  Three draws, in that
+    order: the query's position among the eligible samples, the positive's
+    among the query identity's other samples, and the negative's rank among
+    the non-members.
+    """
+    cache = _sampler_index(dataset)
     eligible = cache["eligible"]
     if not eligible:
         raise ValueError("no identity has >= 2 train samples")
@@ -143,6 +161,27 @@ def sample_triplet(dataset: Dataset, rng) -> tuple:
     k = int(rng.integers(len(train) - len(same)))
     n_idx = train[k + bisect_right(adj, k)]
     return q_idx, p_idx, n_idx
+
+
+def sample_triplets(dataset: Dataset, rng, count: int) -> tuple:
+    """``count`` triplets as (query, positive, negative) index arrays: the
+    values of ``count`` sample_triplet calls, leaving ``rng`` in the same
+    state.  When every eligible identity has the same number m of train
+    samples, one ``rng.integers`` call with the bounds (E, m - 1, T - m)
+    repeated ``count`` times takes the same draws (E eligible samples, T
+    train samples); other datasets take the per-triplet calls."""
+    table = _sampler_index(dataset)["uniform"]
+    if table is None:
+        return tuple(np.array(part) for part in zip(
+            *[sample_triplet(dataset, rng) for _ in range(count)]))
+    members, adj, train = table
+    groups, size = members.shape
+    bounds = np.tile([groups * size, size - 1, len(train) - size], count)
+    position, j, k = rng.integers(0, bounds).reshape(count, 3).T
+    group, slot = np.divmod(position, size)
+    # sample_triplet's index arithmetic, one triplet per row
+    n_rank = k + (adj[group] <= k[:, None]).sum(axis=1)
+    return members[group, slot], members[group, j + (j >= slot)], train[n_rank]
 
 
 def to_grayscale(images: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .cam import augment_negative, augment_positive
+from .cam import augment_negative, augment_positive, generate_swaps
 from .losses import (TripletBatch, cam_classification_loss,
                      center_discrepancy_loss, classification_loss,
                      negative_recon_loss, positive_recon_loss, triplet_loss)
@@ -121,7 +121,7 @@ def _check_pos_recon(rng, model, tol):
     def fn(leaf):
         emb_q = _split_embeddings(leaf, slice(0, 1), cfg.id_dim)
         emb_p = _split_embeddings(leaf, slice(1, 2), cfg.id_dim)
-        images_out = augment_positive(emb_q, emb_p, model)
+        images_out, _ = generate_swaps(model, augment_positive(emb_q, emb_p), [])
         return positive_recon_loss(images_out, gray_q, gray_p)
 
     return ad.grad_check(fn, Tensor(x), h=FD_STEP, tol=tol)
@@ -157,7 +157,7 @@ def _check_neg_recon(rng, model, tol):
     def fn(leaf):
         emb_q = _split_embeddings(leaf, slice(0, 1), cfg.id_dim)
         emb_n = _split_embeddings(leaf, slice(1, 2), cfg.id_dim)
-        taps_out = augment_negative(emb_q, emb_n, model)
+        _, taps_out = generate_swaps(model, [], augment_negative(emb_q, emb_n))
         return negative_recon_loss(taps_out, target_q, target_n)
 
     return ad.grad_check(fn, Tensor(x), h=FD_STEP, tol=tol)

@@ -76,13 +76,27 @@ class TripletBatch:
             raise ValueError("negative label equals query label in some entry")
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """(B,) integer labels in [0, num_classes) -> (B, num_classes) float 0/1
+    rows; a label outside that range is a ValueError.  Every loss that takes
+    labels also takes these rows, so a step checks and builds them once."""
     labels = np.asarray(labels)
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
+
+
+def _targets(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """One-hot rows of ``labels``, or ``labels`` itself when it already is
+    (B, num_classes) rows."""
+    labels = np.asarray(labels)
+    if labels.ndim != 2:
+        return one_hot(labels, num_classes)
+    if labels.shape[1] != num_classes:
+        raise ShapeError(f"one-hot rows {labels.shape} do not match {num_classes} classes")
+    return labels
 
 
 def triplet_loss(batch: TripletBatch, margin: float = 0.9) -> Tensor:
@@ -99,22 +113,23 @@ def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
 
     Pulls each embedding toward its identity's center and away from every
     other center at once, so no negative sampling is involved.  Centers are
-    constants during backward.
+    constants during backward; ``labels`` are integer labels or their
+    ``one_hot`` rows.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != id_feat.shape[1]:
         raise ShapeError(f"centers shape {centers.shape} does not match "
                          f"embedding dim {id_feat.shape[1]}")
     # cross-entropy over logits -d: mean(d_own + logsumexp(-d))
-    return ad.center_cross_entropy(id_feat, centers, _one_hot(labels, centers.shape[0]))
+    return ad.center_cross_entropy(id_feat, centers, _targets(labels, centers.shape[0]))
 
 
 def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy: mean(logsumexp(logits) - logit of the true label)."""
-    labels = np.asarray(labels)
+    """Mean cross-entropy: mean(logsumexp(logits) - logit of the true label).
+    ``labels`` are integer labels or their ``one_hot`` rows."""
     if logits.data.ndim != 2:
         raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
-    return ad.cross_entropy(logits, _one_hot(labels, logits.shape[1]))
+    return ad.cross_entropy(logits, _targets(labels, logits.shape[1]))
 
 
 def cam_classification_loss(cam_logits: Tensor, labels: np.ndarray) -> Tensor:

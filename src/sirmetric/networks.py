@@ -166,18 +166,22 @@ class ReidModel:
         h = self._dense(joined, "generator", "1", "relu")
         return self._dense(h, "generator", "2", "relu")
 
-    def generator_forward(self, id_feat: Tensor, app_feat: Tensor):
-        """Embedding pair -> (feature tap (B, C_b, H_b, W_b), image (B, 1, H, W)).
+    def generator_forward(self, id_feat: Tensor, app_feat: Tensor,
+                          image_rows: int | None = None):
+        """Embedding pair -> (feature tap (B, C_b, H_b, W_b), image (R, 1, H, W)).
 
         The tap is generator_tap reshaped to the backbone grid; the image
-        head maps it through a sigmoid into [0, 1].
+        head maps its first R = ``image_rows`` rows (all B by default)
+        through a sigmoid into [0, 1].
         """
         tap_rows = self.generator_tap(id_feat, app_feat)
         batch = tap_rows.shape[0]
+        image_rows = batch if image_rows is None else image_rows
         tap = tap_rows.reshape((batch,) + self.config.feature_shape)
-        image = self._dense(tap_rows, "generator", "3", "sigmoid")
+        head_rows = tap_rows if image_rows == batch else tap_rows[:image_rows]
+        image = self._dense(head_rows, "generator", "3", "sigmoid")
         _, height, width = self.config.image_shape
-        return tap, image.reshape((batch, 1, height, width))
+        return tap, image.reshape((image_rows, 1, height, width))
 
     def embed(self, images) -> tuple:
         """Eval-mode pass (no dropout, no graph): (id, appearance, backbone feature)

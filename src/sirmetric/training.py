@@ -15,16 +15,18 @@ import os
 import numpy as np
 
 from .autodiff import Adam
-from .cam import augment_negative, augment_positive, build_pseudo_gt_batch
+from .cam import augment_negative, augment_positive, build_pseudo_gt_batch, generate_swaps
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clusters import ClusterRegistry
 from .config import ConfigError, RunConfig
-from .data import (Dataset, generate, load_dataset, randomly_grayscale,
-                   sample_triplet, to_grayscale)
+# sample_triplet stays importable from here: perfbench fills the sampler's index
+# and traces the per-triplet draws through this name
+from .data import (Dataset, generate, load_dataset, randomly_grayscale,  # noqa: F401
+                   sample_triplet, sample_triplets, to_grayscale)
 from .losses import (TripletBatch, cam_classification_loss,
                      center_discrepancy_loss, classification_loss,
-                     negative_recon_loss, positive_recon_loss, total_loss,
-                     triplet_loss)
+                     negative_recon_loss, one_hot, positive_recon_loss,
+                     total_loss, triplet_loss)
 from .networks import DisentangledEmbedding, ReidModel
 
 LOG_HEADER = ("step,cls_loss,triplet_loss,center_loss,cam_loss,"
@@ -75,9 +77,11 @@ class Trainer:
     def run(self, save_checkpoints: bool = True) -> list:
         """Train to epochs * steps_per_epoch total steps (continuing from
         the current step), logging losses and writing per-epoch
-        checkpoints under the configured output directory.  A run that
-        starts past step 0 keeps the rows of an existing loss log that
-        precede its step and appends after them."""
+        checkpoints under the configured output directory; the log holds
+        every row before a checkpoint's step when the checkpoint is written.
+        A run that starts past step 0 keeps the rows of an existing loss log
+        that precede its step, which must be exactly steps 0 .. step - 1
+        (else ValueError), and appends after them."""
         cfg = self.config
         total_steps = cfg.epochs * cfg.steps_per_epoch
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -85,6 +89,10 @@ class Trainer:
         kept = []
         if self.step > 0 and os.path.exists(log_path):
             kept = [row for row in read_loss_log(log_path) if row[0] < self.step]
+            if [row[0] for row in kept] != list(range(self.step)):
+                raise ValueError(f"{log_path} does not hold exactly the rows of steps "
+                                 f"0..{self.step - 1} to resume after ({len(kept)} rows "
+                                 f"before step {self.step})")
         with open(log_path, "w") as log:
             log.write(LOG_HEADER + "\n")
             for row in kept:
@@ -93,6 +101,7 @@ class Trainer:
                 if self.step % cfg.steps_per_epoch == 0:
                     epoch = self.step // cfg.steps_per_epoch
                     if save_checkpoints and epoch > 0:
+                        log.flush()
                         self._save(f"ckpt_step_{self.step}")
                     last = self.registry.last_refresh_epoch
                     if last is None or epoch - last >= cfg.refresh_period_epochs:
@@ -141,8 +150,7 @@ def draw_step(dataset: Dataset, rng: np.random.Generator, config: RunConfig) -> 
     """One step's random inputs in the contract's order (triplets, grayscale coins, then the
     id-dropout keep mask, None at rate 0): (images as query, positive and negative row
     blocks, keep, query labels, negative labels)."""
-    triplets = [sample_triplet(dataset, rng) for _ in range(config.batch_size)]
-    q_idx, p_idx, n_idx = (np.array(part) for part in zip(*triplets))
+    q_idx, p_idx, n_idx = sample_triplets(dataset, rng, config.batch_size)
     images, _ = randomly_grayscale(dataset.images[np.concatenate([q_idx, p_idx, n_idx])],
                                    rng, config.grayscale_prob)
     rate = config.network.id_dropout
@@ -154,7 +162,8 @@ def draw_step(dataset: Dataset, rng: np.random.Generator, config: RunConfig) -> 
 def step_losses(model: ReidModel, images: np.ndarray, keep, y_q: np.ndarray,
                 y_n: np.ndarray, centers: np.ndarray, config: RunConfig) -> tuple:
     """(cls, triplet, center, cam, positive recon, negative recon, total) losses
-    of one drawn step; draws nothing."""
+    of one drawn step; draws nothing.  The query labels' one-hot rows are built
+    once and shared by the three cross-entropies."""
     size = len(y_q)
     features = model.backbone_forward(images)
     emb_all = model.separator_forward(features, keep)
@@ -162,21 +171,21 @@ def step_losses(model: ReidModel, images: np.ndarray, keep, y_q: np.ndarray,
     emb_q, emb_p, emb_n = (DisentangledEmbedding(emb_all.id_feat[rows], emb_all.app_feat[rows])
                            for rows in (q_rows, p_rows, n_rows))
 
+    target = one_hot(y_q, config.network.num_identities)
     tri = triplet_loss(TripletBatch(emb_q, emb_p, emb_n, y_q, y_n), config.loss.margin)
-    center = center_discrepancy_loss(emb_q.id_feat, y_q, centers)
-    cls = classification_loss(model.classifier_forward(emb_q), y_q)
-    cam = cam_classification_loss(model.cam_logits(features[q_rows]), y_q)
+    center = center_discrepancy_loss(emb_q.id_feat, target, centers)
+    cls = classification_loss(model.classifier_forward(emb_q), target)
+    cam = cam_classification_loss(model.cam_logits(features[q_rows]), target)
 
+    images_out, taps = generate_swaps(
+        model, augment_positive(emb_q, emb_p),
+        augment_negative(emb_q, emb_n, config.swap_negative_appearance, emb_p))
     gray = to_grayscale(images[:2 * size])
-    pos = positive_recon_loss(augment_positive(emb_q, emb_p, model),
-                              gray[:size], gray[size:])
+    pos = positive_recon_loss(images_out, gray[:size], gray[size:])
 
     f_q, f_n = features.data[q_rows], features.data[n_rows]
     pseudo_q, pseudo_n = build_pseudo_gt_batch(
         f_q, f_n, model.cam_maps(f_q, y_q), model.cam_maps(f_n, y_n))
-    taps = augment_negative(emb_q, emb_n, model,
-                            swap_second_appearance=config.swap_negative_appearance,
-                            emb_positive=emb_p)
     neg = negative_recon_loss(taps, pseudo_q, pseudo_n)
     return cls, tri, center, cam, pos, neg, total_loss(cls, tri, center, cam, pos, neg, config.loss)
 

@@ -1,6 +1,7 @@
 """Core autodiff checks: hand-computed values, backward rules, Adam, and
 the finite-difference checker itself."""
 import ast
+import math
 from functools import reduce
 from pathlib import Path
 
@@ -368,7 +369,7 @@ def _reference_adam(params, grads, lr, beta1, beta2, epsilon):
             m += (1.0 - beta1) * g
             v *= beta2
             v += (1.0 - beta2) * (g * g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+            p -= (m / (np.sqrt(v) * (1.0 / math.sqrt(bc2)) + epsilon)) * (lr / bc1)
     return state
 
 

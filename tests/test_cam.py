@@ -8,8 +8,8 @@ import pytest
 
 from sirmetric import autodiff as ad
 from sirmetric.autodiff import Tensor
-from sirmetric.cam import (augment_negative, augment_positive,
-                           build_pseudo_gt_batch, cam_masks, write_cam_debug_csv)
+from sirmetric.cam import (augment_negative, augment_positive, build_pseudo_gt_batch,
+                           cam_masks, generate_swaps, write_cam_debug_csv)
 from sirmetric.networks import DisentangledEmbedding, NetworkConfig, ReidModel
 
 from reference_ops import add, tensor_sum
@@ -154,25 +154,27 @@ def test_augment_positive_order_and_shapes():
     model = ReidModel(CFG, seed=1)
     emb_q = _embeddings(model, 2, 7)
     emb_p = _embeddings(model, 2, 8)
-    outs = augment_positive(emb_q, emb_p, model)
-    assert len(outs) == 3
-    for out in outs:
-        assert out.shape == (2, 1, 4, 4)
-    # against individual generator calls
-    _, first = model.generator_forward(emb_p.id_feat, emb_q.app_feat)
-    _, second = model.generator_forward(emb_q.id_feat, emb_p.app_feat)
-    _, third = model.generator_forward(emb_q.id_feat, emb_q.app_feat)
-    np.testing.assert_allclose(outs[0].data, first.data, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(outs[1].data, second.data, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(outs[2].data, third.data, rtol=0, atol=1e-15)
+    swaps = augment_positive(emb_q, emb_p)
+    expected = [(emb_p.id_feat, emb_q.app_feat), (emb_q.id_feat, emb_p.app_feat),
+                (emb_q.id_feat, emb_q.app_feat)]
+    assert len(swaps) == 3
+    for (id_feat, app_feat), (id_ref, app_ref) in zip(swaps, expected):
+        assert id_feat is id_ref and app_feat is app_ref
+    images, taps = generate_swaps(model, swaps, [])
+    assert len(images) == 3 and taps == []
+    for image, (id_feat, app_feat) in zip(images, swaps):
+        assert image.shape == (2, 1, 4, 4)
+        # against individual generator calls; one stacked pass may round differently
+        _, reference = model.generator_forward(id_feat, app_feat)
+        np.testing.assert_allclose(image.data, reference.data, rtol=0, atol=1e-15)
 
 
 def test_augment_positive_identical_pair_collapses():
     model = ReidModel(CFG, seed=1)
     emb = _embeddings(model, 3, 9)
-    outs = augment_positive(emb, emb, model)
-    np.testing.assert_array_equal(outs[0].data, outs[1].data)
-    np.testing.assert_array_equal(outs[1].data, outs[2].data)
+    images, _ = generate_swaps(model, augment_positive(emb, emb), augment_negative(emb, emb))
+    np.testing.assert_array_equal(images[0].data, images[1].data)
+    np.testing.assert_array_equal(images[1].data, images[2].data)
 
 
 def test_augment_negative_shapes_and_swap_flag():
@@ -180,21 +182,27 @@ def test_augment_negative_shapes_and_swap_flag():
     emb_q = _embeddings(model, 2, 10)
     emb_n = _embeddings(model, 2, 11)
     emb_p = _embeddings(model, 2, 12)
-    tap_a, tap_b = augment_negative(emb_q, emb_n, model)
+    swaps = augment_negative(emb_q, emb_n)
+    assert swaps == [(emb_q.id_feat, emb_n.app_feat), (emb_n.id_feat, emb_q.app_feat)]
+    _, (tap_a, tap_b) = generate_swaps(model, augment_positive(emb_q, emb_p), swaps)
     assert tap_a.shape == (2, 3, 2, 2) and tap_b.shape == (2, 3, 2, 2)
-    swapped_a, swapped_b = augment_negative(emb_q, emb_n, model,
-                                            swap_second_appearance=True,
-                                            emb_positive=emb_p)
-    np.testing.assert_array_equal(tap_a.data, swapped_a.data)  # first tap untouched
+    for tap, (id_feat, app_feat) in zip((tap_a, tap_b), swaps):
+        reference, _ = model.generator_forward(id_feat, app_feat)
+        np.testing.assert_allclose(tap.data, reference.data, rtol=0, atol=1e-15)
+    swapped = augment_negative(emb_q, emb_n, swap_second_appearance=True, emb_positive=emb_p)
+    assert swapped[0] == swaps[0]  # first swap untouched
+    assert swapped[1][0] is emb_n.id_feat and swapped[1][1] is emb_p.app_feat
+    _, (swapped_a, swapped_b) = generate_swaps(model, [], swapped)
+    np.testing.assert_allclose(tap_a.data, swapped_a.data, rtol=0, atol=1e-15)
     assert np.any(tap_b.data != swapped_b.data)
     with pytest.raises(ValueError):
-        augment_negative(emb_q, emb_n, model, swap_second_appearance=True)
+        augment_negative(emb_q, emb_n, swap_second_appearance=True)
 
 
 def test_augment_negative_identical_pair_collapses():
     model = ReidModel(CFG, seed=2)
     emb = _embeddings(model, 2, 13)
-    tap_a, tap_b = augment_negative(emb, emb, model)
+    _, (tap_a, tap_b) = generate_swaps(model, [], augment_negative(emb, emb))
     np.testing.assert_array_equal(tap_a.data, tap_b.data)
 
 
@@ -221,31 +229,42 @@ def test_cam_debug_csv_dump(tmp_path):
 
 
 def test_augment_negative_taps_and_gradients_match_generator_forward():
+    """generate_swaps' stacked pass gives every leaf and parameter the gradient of
+    separate passes, up to BLAS rounding; the taps alone give the image
+    head no gradient."""
     model = ReidModel(CFG, seed=4)
-    weights = np.random.default_rng(15).normal(size=(2, 2, 3, 2, 2))
+    weights = np.random.default_rng(15).normal(size=(3, 2, 3, 2, 2))
 
-    def run(taps_of):
+    def run(outputs_of):
         leaves = [Tensor(np.random.default_rng(16 + i).uniform(-0.8, 0.8, size=(2, dim)),
                          requires_grad=True)
                   for i, dim in enumerate((CFG.id_dim, CFG.app_dim) * 2)]
         emb_q, emb_n = DisentangledEmbedding(*leaves[:2]), DisentangledEmbedding(*leaves[2:])
-        taps = taps_of(emb_q, emb_n)
-        loss = reduce(add, (tensor_sum(ad.mask_mul(tap, w)) for tap, w in zip(taps, weights)), 0)
-        loss.backward()
+        image, taps = outputs_of(emb_q, emb_n)
+        terms = [tensor_sum(ad.mask_mul(tap, w)) for tap, w in zip(taps, weights)]
+        if image is not None:
+            terms.append(tensor_sum(image))
+        reduce(add, terms, 0).backward()
         grads = [leaf.grad for leaf in leaves] + [p.grad for p in model.params.values()]
         for p in model.params.values():
             p.grad = None
-        return [tap.data for tap in taps], grads
+        return grads
 
-    def through_generator_forward(emb_q, emb_n):
-        ids = ad.concat([emb_q.id_feat, emb_n.id_feat], axis=0)
-        apps = ad.concat([emb_n.app_feat, emb_q.app_feat], axis=0)
-        taps, _ = model.generator_forward(ids, apps)
-        return taps[:2], taps[2:]
+    def one_pass(emb_q, emb_n, with_image=True):
+        image_swaps = [(emb_q.id_feat, emb_q.app_feat)] if with_image else []
+        images, taps = generate_swaps(model, image_swaps, augment_negative(emb_q, emb_n))
+        return (images[0] if with_image else None), taps
 
-    taps, grads = run(lambda q, n: augment_negative(q, n, model))
-    ref_taps, ref_grads = run(through_generator_forward)
-    assert all(np.array_equal(a, b) for a, b in zip(taps, ref_taps))
-    for grad, ref in zip(grads, ref_grads):
-        assert (grad is None) == (ref is None)  # the image head gets no gradient
-        assert grad is None or np.array_equal(grad, ref)
+    def pass_per_swap(emb_q, emb_n):
+        _, image = model.generator_forward(emb_q.id_feat, emb_q.app_feat)
+        taps = [model.generator_forward(*swap)[0] for swap in augment_negative(emb_q, emb_n)]
+        return image, taps
+
+    for grad, ref in zip(run(one_pass), run(pass_per_swap)):
+        assert (grad is None) == (ref is None)  # backbone, separator and heads get none
+        if grad is not None:
+            np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-15)
+    taps_only = run(lambda q, n: one_pass(q, n, with_image=False))
+    image_head = [name in ("generator.w3", "generator.b3") for name in model.params]
+    for grad, ref, in_head in zip(taps_only[4:], run(pass_per_swap)[4:], image_head):
+        assert grad is None if in_head else (grad is None) == (ref is None)

@@ -144,6 +144,26 @@ def test_synth_over_a_directory_holding_other_files_is_error(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["notes.txt"] and notes.read_text() == "keep"
 
 
+@pytest.mark.parametrize("holding", ["nothing", "an archive"])
+@pytest.mark.parametrize("out", [".", ".."])
+def test_synth_into_the_working_directory_is_error(tmp_path, capsys, monkeypatch, holding, out):
+    """Swapping an archive in for the working directory, or for a directory
+    above it, would leave the shell in a deleted directory: refused, and
+    nothing is written or deleted."""
+    work = tmp_path / "work"
+    work.mkdir()
+    if holding == "an archive":
+        write_archive(work, {"kind": "old"}, {"a": np.arange(3.0)})
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    monkeypatch.chdir(work)
+    err = _one_error_line(capsys, ["synth", "--ids", "4", "--per-id", "5", "--seed", "1",
+                                   "--out", out])
+    assert "is or holds the working directory" in err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+            if path.is_file()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
+
+
 def test_train_one_step_on_a_thousand_identities(tmp_path, capsys):
     """The triplet sampler's index is linear in the train split, so a
     1,000-identity set (12,000 train samples) trains without a long set-up."""

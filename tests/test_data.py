@@ -8,7 +8,8 @@ import pytest
 from sirmetric.blobio import ArchiveError, read_archive, write_archive
 from sirmetric.data import (Dataset, DatasetManifest, generate,
                             horizontal_flip, load_dataset, randomly_grayscale,
-                            sample_triplet, save_dataset, to_grayscale)
+                            sample_triplet, sample_triplets, save_dataset,
+                            to_grayscale)
 
 
 def test_manifest_validation():
@@ -152,10 +153,10 @@ def _reference_triplets(ds, rng, draws):
         yield q, p, n
 
 
-def test_triplet_draws_match_list_reference(tmp_path):
-    """The index draws the oracle's triplets on: an identity cut to 3 train
-    samples, a shuffled train order, an identity with one train sample,
-    unequal group sizes, and such a set after an archive round trip."""
+def _draw_cases(tmp_path) -> list:
+    """An identity cut to 3 train samples, a shuffled train order, an
+    identity with one train sample and unequal group sizes, and that set
+    after an archive round trip."""
     manifest = DatasetManifest(num_identities=5, samples_per_identity=8,
                                train_per_identity=6, query_per_identity=1,
                                gallery_per_identity=1)
@@ -165,9 +166,13 @@ def test_triplet_draws_match_list_reference(tmp_path):
     uneven = np.setdiff1d(ds.train_idx, [10, 11, 17, 18, 19, 20, 21, 25, 26, 27, 28])
     uneven = np.random.default_rng(5).permutation(uneven)
     save_dataset(replace(ds, train_idx=uneven), tmp_path / "ds")
-    cases = [replace(ds, train_idx=ds.train_idx[3:]), replace(ds, train_idx=shuffled),
-             replace(ds, train_idx=uneven), load_dataset(tmp_path / "ds")]
-    for case in cases:
+    return [replace(ds, train_idx=ds.train_idx[3:]), replace(ds, train_idx=shuffled),
+            replace(ds, train_idx=uneven), load_dataset(tmp_path / "ds")]
+
+
+def test_triplet_draws_match_list_reference(tmp_path):
+    """The index draws the oracle's triplets on every _draw_cases set."""
+    for case in _draw_cases(tmp_path):
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         drawn = [sample_triplet(case, rng) for _ in range(10_000)]
         assert drawn == list(_reference_triplets(case, ref_rng, 10_000))
@@ -175,6 +180,29 @@ def test_triplet_draws_match_list_reference(tmp_path):
     lone = 16  # identity 2's only train sample: a negative, never a query or positive
     assert any(n == lone for _, _, n in drawn)
     assert all(lone not in (q, p) for q, p, _ in drawn)
+
+
+def test_batched_triplet_draws_match_sample_triplet(tmp_path):
+    """sample_triplets takes the triplets of as many sample_triplet calls and
+    leaves the generator where they do: in one batched draw on the shuffled
+    set and on uniform sets (6, 12 and 2 train samples per identity), by
+    per-triplet calls on the sets with unequal groups."""
+    uniform = [generate(DatasetManifest()),
+               generate(DatasetManifest(num_identities=100, image_shape=(3, 16, 8), seed=3)),
+               generate(DatasetManifest(num_identities=4, samples_per_identity=5,
+                                        train_per_identity=2, query_per_identity=2,
+                                        gallery_per_identity=1))]
+    batched = []
+    for case in _draw_cases(tmp_path) + uniform:
+        for seed in range(10):
+            for count in (1, 8, 64):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                q_idx, p_idx, n_idx = sample_triplets(case, rng, count)
+                assert list(zip(q_idx.tolist(), p_idx.tolist(), n_idx.tolist())) == [
+                    sample_triplet(case, ref_rng) for _ in range(count)]
+                assert rng.random() == ref_rng.random()
+        batched.append(case._sampler_cache["uniform"] is not None)
+    assert batched == [False, True, False, False, True, True, True]
 
 
 def test_copied_dataset_builds_its_own_sampler_index():
@@ -449,8 +477,8 @@ def _raise_on_swap(*args):
 def test_interrupted_archive_write_keeps_the_old_archive(tmp_path, monkeypatch, fault):
     """A write that fails after some bytes are out (a tensor that cannot
     become float64, sorted after one that could; or a failed swap) leaves
-    the previous archive loading bit-identically, and the next write clears
-    the stray ``<dir>.tmp``."""
+    the previous archive loading bit-identically and no ``<dir>.tmp``
+    behind."""
     path = tmp_path / "a"
     write_archive(path, {"kind": "old"}, OLD_TENSORS)
     new = {"a": np.arange(3.0), "b": np.array(["x"]) if fault == "conversion" else np.zeros(2)}
@@ -463,6 +491,7 @@ def test_interrupted_archive_write_keeps_the_old_archive(tmp_path, monkeypatch, 
     assert meta == {"kind": "old"}
     assert {name: t.tobytes() for name, t in tensors.items()} == {
         name: t.tobytes() for name, t in OLD_TENSORS.items()}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
     write_archive(path, {"kind": "new"}, {"a": np.arange(3.0)})
     assert read_archive(path)[0] == {"kind": "new"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]

@@ -7,7 +7,7 @@ from sirmetric import autodiff as ad
 from sirmetric.autodiff import ShapeError, Tensor
 from sirmetric.losses import (LossWeights, TripletBatch, cam_classification_loss,
                               center_discrepancy_loss, classification_loss,
-                              negative_recon_loss, positive_recon_loss,
+                              negative_recon_loss, one_hot, positive_recon_loss,
                               total_loss, triplet_loss)
 from sirmetric.networks import DisentangledEmbedding
 
@@ -125,6 +125,30 @@ def test_cam_loss_matches_classification_arithmetic():
     labels = np.array([0, 2, 3])
     assert (cam_classification_loss(Tensor(logits), labels).item()
             == classification_loss(Tensor(logits), labels).item())
+
+
+def test_label_losses_take_one_hot_rows_with_the_same_bits():
+    """A step builds the query labels' one-hot rows once and passes them to
+    the cls, cam and center losses: values and gradients match labels."""
+    rng = np.random.default_rng(2)
+    logits, feats = rng.normal(size=(5, 4)), rng.uniform(-0.8, 0.8, size=(5, 3))
+    centers, labels = rng.uniform(-0.6, 0.6, size=(4, 3)), np.array([0, 3, 1, 3, 2])
+    rows = one_hot(labels, 4)
+    for loss, data in ((classification_loss, logits), (cam_classification_loss, logits),
+                       (lambda x, y: center_discrepancy_loss(x, y, centers), feats)):
+        results = []
+        for target in (labels, rows):
+            leaf = Tensor(data, requires_grad=True)
+            value = loss(leaf, target)
+            value.backward()
+            results.append((value.data.tobytes(), leaf.grad.tobytes()))
+        assert results[0] == results[1]
+    with pytest.raises(ShapeError):
+        classification_loss(Tensor(logits), one_hot(labels, 5))
+    with pytest.raises(ShapeError):
+        center_discrepancy_loss(Tensor(feats), one_hot(labels, 5), centers)
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        one_hot(np.array([0, 4]), 4)
 
 
 def test_positive_recon_exact_match_is_zero():

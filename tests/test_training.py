@@ -1,6 +1,7 @@
 """Trainer determinism, checkpoint round-trip, and resume equality at
 miniature scale."""
 import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -147,6 +148,40 @@ def test_resume_in_same_dir_keeps_loss_log(tmp_path):
     assert not list((tmp_path / "run").glob("*.tmp")) + list((tmp_path / "run").glob("*.old"))
 
 
+def test_loss_log_holds_every_row_before_each_checkpoint(tmp_path, monkeypatch):
+    """A run killed right after writing a checkpoint can resume from it with
+    the log intact: every row before the checkpoint's step is on disk."""
+    config = _tiny_config(tmp_path, epochs=3)
+    log_path = tmp_path / "run" / "loss_log.csv"
+    on_disk, save = {}, training.save_checkpoint
+
+    def counting(path, model, optimizer, registry, step, run_config):
+        on_disk[os.path.basename(path)] = (step, [row[0] for row in read_loss_log(log_path)])
+        save(path, model, optimizer, registry, step, run_config)
+
+    monkeypatch.setattr(training, "save_checkpoint", counting)
+    Trainer(config).run()
+    assert on_disk == {name: (step, list(range(step))) for name, step in
+                       (("ckpt_step_3", 3), ("ckpt_step_6", 6), ("ckpt_final", 9))}
+
+
+@pytest.mark.parametrize("edit", ["missing", "repeated", "reordered"])
+def test_resume_refuses_a_loss_log_without_exactly_the_earlier_rows(tmp_path, edit):
+    Trainer(_tiny_config(tmp_path, seed=11, epochs=1)).run()
+    log_path = tmp_path / "run" / "loss_log.csv"
+    header, *rows = log_path.read_text().splitlines()
+    rows = {"missing": rows[:1] + rows[2:], "repeated": rows[:2] + rows[1:],
+            "reordered": [rows[1], rows[0], rows[2]]}[edit]
+    log_path.write_text("\n".join([header] + rows) + "\n")
+    before = log_path.read_bytes()
+    resumed = Trainer.from_checkpoint(tmp_path / "run" / "ckpt_final",
+                                      _tiny_config(tmp_path, seed=11))
+    with pytest.raises(ValueError, match=r"^\S+loss_log\.csv does not hold exactly the rows "
+                                         r"of steps 0\.\.2 to resume after [^\n]*$"):
+        resumed.run()
+    assert log_path.read_bytes() == before and resumed.step == 3
+
+
 def test_resume_takes_every_adam_setting_from_the_run_config(tmp_path):
     """The checkpoint supplies Adam's state (t and the moments), the run
     config its four settings, which the next checkpoint then records."""
@@ -255,18 +290,18 @@ def test_loss_log_digest_is_frozen(tmp_path):
     """The loss logs and final checkpoint blobs of a 30-step RunConfig() run
     and of the tiny run, and the first run's eval, are pinned to the bit.
     The blob holds the Adam moments, which keep a gradient's last bits that
-    the loss log may round away.  The digests were taken before the autodiff fusions (dense layers,
-    the triplet / cross-entropy / L1 nodes, the flat Adam), on numpy 2.4.6
+    the loss log may round away.  The digests were re-frozen when the step moved
+    to one stacked generator pass and Adam's step-size form, on numpy 2.4.6
     with scipy-openblas 0.3.31 (x86-64, Haswell kernels) and Python 3.11; a
     change that moves one rounding fails here.  Another numpy or BLAS build
     may round the matrix products differently."""
     runs = {
         "runconfig": (RunConfig(epochs=3, steps_per_epoch=10, out_dir=str(tmp_path / "default")),
-                      "6732c7f3f82d6cc2986dc4285fb61f1cbd8762b059d78b8ef4739a581dda6459",
-                      "dbfcd8eab61634bfbe50e629c8177df39e8fa57449de713fa689c6c76523f5ab"),
+                      "2e2bf51249e7adf91a49e729c11c37d53ebef876d552d760d417dc9fd74968e8",
+                      "ec349a4586364f62b2021c5287b0395219282884fdc51c8be69e9853833c51c4"),
         "tiny": (_tiny_config(tmp_path),
                  "4be45b5749b52b5bd887ab67b2568b4d2e3028da12d15ae204d770b83d4b3790",
-                 "45f5b16e95f5161c909526bfdf9028c366616e66ccced9734acbe2de89cd234d"),
+                 "40ed892c22cd70600885c0d8d0fdc6f3e27a05481fa28a15d2da75f1df6adc85"),
     }
     for name, (config, log_digest, blob_digest) in runs.items():
         Trainer(config).run()
@@ -275,15 +310,15 @@ def test_loss_log_digest_is_frozen(tmp_path):
                                (out / "ckpt_final" / "data.blob", blob_digest)):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, (name, path.name)
     # The eval of the 30-step run on its dataset's query/gallery split: the
-    # gallery order, the ranked distances and the metrics document, pinned
-    # before the in-place ranking and the hits-only scoring.
+    # gallery order, the ranked distances and the metrics document (the
+    # distances re-frozen with the loss log; order and metrics kept their bits).
     config = runs["runconfig"][0]
     model, _, _, _ = load_checkpoint(tmp_path / "default" / "ckpt_final")
     result, order, distances = evaluate_retrieval(generate(config.data), model)
     digests = [hashlib.sha256(raw).hexdigest() for raw in
                (order.tobytes(), distances.tobytes(), metrics_json(result, 0.55).encode())]
     assert digests == ["bb9f469e561e5dd6b02f1b92c307045e031e8ab2964e9cce006628045dbb707a",
-                       "cbe654a17d1433c1abef8685f3d165c2a70861e7f1d4a092d15b74825f65aaa9",
+                       "b5afd046c0a12f615c853f5f413d4e5374d033c8c5914bbf2319a03604da75c8",
                        "6365456e3c5e6a8da5f214131f4b92f039d265b4a235048c85a09dab2aea3a56"]
 
 
@@ -292,9 +327,8 @@ def test_wide_loss_log_digest_is_frozen(tmp_path):
     grayscale targets really convert; 100 identities, so 100 centers; batch
     64; hidden widths 256), pinned to the bit like the run above: its loss
     log and final checkpoint blob, over two epochs of two steps, with a
-    center refresh after the first.  The digests were taken before the
-    center distances, the weighted total and the L1 sums became single
-    autodiff nodes, on the numpy and BLAS build named above."""
+    center refresh after the first.  The blob digest was re-frozen with the
+    run above, on the numpy and BLAS build named there."""
     shape = (3, 16, 8)
     network = NetworkConfig(image_shape=shape, num_identities=100, backbone_hidden=256,
                             separator_hidden=256, generator_hidden=256)
@@ -306,7 +340,7 @@ def test_wide_loss_log_digest_is_frozen(tmp_path):
     digests = [hashlib.sha256((tmp_path / "wide" / name).read_bytes()).hexdigest()
                for name in ("loss_log.csv", "ckpt_final/data.blob")]
     assert digests == ["9b376f52b70b657c10bac3c2309782f74058883bcbd54119d070dd93892279f2",
-                       "e391fd131648fb29f75662459761854ed8a76a2884258adce16f2b0321227a23"]
+                       "e2f691a006db12728e67ae07dcfb9d175916b037595ed248ede284adbaf6ef4b"]
 
 
 def test_loaded_checkpoint_parameters_move_on_step(tmp_path):
