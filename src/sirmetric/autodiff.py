@@ -36,7 +36,6 @@ class GraphError(RuntimeError):
 
 
 _GRAD_ENABLED = True
-_FLOAT64 = np.dtype(np.float64)
 
 
 @contextmanager
@@ -74,9 +73,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_rule", "_spent", "_owned")
 
     def __init__(self, data, requires_grad: bool = False):
-        # a float64 array is taken as is; anything else is converted
-        self.data = (data if type(data) is np.ndarray and data.dtype is _FLOAT64
-                     else np.asarray(data, dtype=np.float64))
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents: tuple = ()

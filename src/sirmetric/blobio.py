@@ -107,10 +107,11 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
     """Write manifest + blob into a fresh ``<dir>.tmp`` and swap it in via
     ``<dir>.old``: ``dir_path`` holds the old archive, the new one or
     nothing, never a partial one, even if the process is killed (nothing is
-    fsynced, so not on power loss).  A write that raises removes its
-    ``<dir>.tmp``.  The working directory, or a directory holding it, is
-    refused: the swap would leave the caller in a deleted directory.  Tensor
-    values are converted to float64; meta values go through format_value."""
+    fsynced, so not on power loss).  A write that raises puts the old
+    archive back at ``dir_path`` and then removes its ``<dir>.tmp``.  The
+    working directory, or a directory holding it, is refused: the swap
+    would leave the caller in a deleted directory.  Tensor values are
+    converted to float64; meta values go through format_value."""
     lines = [f"format={FORMAT_TAG}"]
     for key, value in meta.items():
         key = str(key)
@@ -144,6 +145,8 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
             os.replace(path, old)
         os.replace(tmp, path)
     except BaseException:  # any failure, interrupts included: re-raised
+        if replacing and not os.path.lexists(path):  # failed after the old was moved
+            os.replace(old, path)
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     if replacing:

@@ -184,16 +184,20 @@ def test_augment_negative_shapes_and_swap_flag():
     emb_p = _embeddings(model, 2, 12)
     swaps = augment_negative(emb_q, emb_n)
     assert swaps == [(emb_q.id_feat, emb_n.app_feat), (emb_n.id_feat, emb_q.app_feat)]
-    _, (tap_a, tap_b) = generate_swaps(model, augment_positive(emb_q, emb_p), swaps)
+    _, (tap_a, tap_b) = generate_swaps(model, [], swaps)
     assert tap_a.shape == (2, 3, 2, 2) and tap_b.shape == (2, 3, 2, 2)
-    for tap, (id_feat, app_feat) in zip((tap_a, tap_b), swaps):
+    _, step_taps = generate_swaps(model, augment_positive(emb_q, emb_p), swaps)
+    for tap, step_tap, (id_feat, app_feat) in zip((tap_a, tap_b), step_taps, swaps):
+        # against the step's 5B-row stack and individual generator calls, which
+        # may round differently from this 2B-row stack
+        np.testing.assert_allclose(step_tap.data, tap.data, rtol=0, atol=1e-15)
         reference, _ = model.generator_forward(id_feat, app_feat)
         np.testing.assert_allclose(tap.data, reference.data, rtol=0, atol=1e-15)
     swapped = augment_negative(emb_q, emb_n, swap_second_appearance=True, emb_positive=emb_p)
-    assert swapped[0] == swaps[0]  # first swap untouched
+    assert swapped[0] == swaps[0]
     assert swapped[1][0] is emb_n.id_feat and swapped[1][1] is emb_p.app_feat
     _, (swapped_a, swapped_b) = generate_swaps(model, [], swapped)
-    np.testing.assert_allclose(tap_a.data, swapped_a.data, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(tap_a.data, swapped_a.data)  # first tap untouched
     assert np.any(tap_b.data != swapped_b.data)
     with pytest.raises(ValueError):
         augment_negative(emb_q, emb_n, swap_second_appearance=True)
@@ -229,9 +233,10 @@ def test_cam_debug_csv_dump(tmp_path):
 
 
 def test_augment_negative_taps_and_gradients_match_generator_forward():
-    """generate_swaps' stacked pass gives every leaf and parameter the gradient of
-    separate passes, up to BLAS rounding; the taps alone give the image
-    head no gradient."""
+    """generate_swaps is one generator_forward over the stacked swap rows: its
+    images, taps and every gradient are bitwise those of that call.  Against
+    separate passes per swap they agree up to BLAS rounding, and the taps
+    alone give the image head no gradient."""
     model = ReidModel(CFG, seed=4)
     weights = np.random.default_rng(15).normal(size=(3, 2, 3, 2, 2))
 
@@ -248,23 +253,39 @@ def test_augment_negative_taps_and_gradients_match_generator_forward():
         grads = [leaf.grad for leaf in leaves] + [p.grad for p in model.params.values()]
         for p in model.params.values():
             p.grad = None
-        return grads
+        outputs = [tap.data for tap in taps] + ([] if image is None else [image.data])
+        return outputs, grads
 
     def one_pass(emb_q, emb_n, with_image=True):
         image_swaps = [(emb_q.id_feat, emb_q.app_feat)] if with_image else []
         images, taps = generate_swaps(model, image_swaps, augment_negative(emb_q, emb_n))
         return (images[0] if with_image else None), taps
 
+    def through_generator_forward(emb_q, emb_n):
+        swaps = [(emb_q.id_feat, emb_q.app_feat)] + augment_negative(emb_q, emb_n)
+        ids = ad.concat([id_feat for id_feat, _ in swaps], axis=0)
+        apps = ad.concat([app_feat for _, app_feat in swaps], axis=0)
+        taps, images = model.generator_forward(ids, apps, image_rows=2)
+        return images[0:2], [taps[2:4], taps[4:6]]
+
     def pass_per_swap(emb_q, emb_n):
         _, image = model.generator_forward(emb_q.id_feat, emb_q.app_feat)
         taps = [model.generator_forward(*swap)[0] for swap in augment_negative(emb_q, emb_n)]
         return image, taps
 
-    for grad, ref in zip(run(one_pass), run(pass_per_swap)):
+    outputs, grads = run(one_pass)
+    stacked_outputs, stacked_grads = run(through_generator_forward)
+    assert len(outputs) == len(stacked_outputs) == 3
+    for out, ref in zip(outputs, stacked_outputs):
+        np.testing.assert_array_equal(out, ref)
+    for grad, ref in zip(grads, stacked_grads):
         assert (grad is None) == (ref is None)  # backbone, separator and heads get none
+        assert grad is None or np.array_equal(grad, ref)
+    for grad, ref in zip(grads, run(pass_per_swap)[1]):
+        assert (grad is None) == (ref is None)
         if grad is not None:
             np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-15)
-    taps_only = run(lambda q, n: one_pass(q, n, with_image=False))
+    taps_only = run(lambda q, n: one_pass(q, n, with_image=False))[1]
     image_head = [name in ("generator.w3", "generator.b3") for name in model.params]
-    for grad, ref, in_head in zip(taps_only[4:], run(pass_per_swap)[4:], image_head):
+    for grad, ref, in_head in zip(taps_only[4:], stacked_grads[4:], image_head):
         assert grad is None if in_head else (grad is None) == (ref is None)

@@ -1,5 +1,6 @@
 """Synthetic dataset construction, triplet sampling, transforms, and the
 archive round-trip."""
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -473,18 +474,25 @@ def _raise_on_swap(*args):
     raise OSError("swap failed")
 
 
-@pytest.mark.parametrize("fault", ["conversion", "swap"])
+def _raise_on_second_swap(src, dst, _replace=os.replace):
+    """os.replace that fails only on moving the new archive into place."""
+    if str(src).endswith(".tmp"):
+        raise OSError("swap failed")
+    _replace(src, dst)
+
+
+@pytest.mark.parametrize("fault", ["conversion", "swap", "second-swap"])
 def test_interrupted_archive_write_keeps_the_old_archive(tmp_path, monkeypatch, fault):
     """A write that fails after some bytes are out (a tensor that cannot
-    become float64, sorted after one that could; or a failed swap) leaves
-    the previous archive loading bit-identically and no ``<dir>.tmp``
-    behind."""
+    become float64, sorted after one that could; a failed swap; or a failed
+    move of the new archive after the old one was moved aside) leaves the
+    previous archive loading bit-identically and no ``<dir>.tmp`` behind."""
     path = tmp_path / "a"
     write_archive(path, {"kind": "old"}, OLD_TENSORS)
     new = {"a": np.arange(3.0), "b": np.array(["x"]) if fault == "conversion" else np.zeros(2)}
     with monkeypatch.context() as patch:
-        if fault == "swap":
-            patch.setattr("os.replace", _raise_on_swap)
+        if fault != "conversion":
+            patch.setattr("os.replace", _raise_on_swap if fault == "swap" else _raise_on_second_swap)
         with pytest.raises((ValueError, OSError)):
             write_archive(path, {"kind": "new"}, new)
     meta, tensors = read_archive(path)
