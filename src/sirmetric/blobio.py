@@ -4,13 +4,15 @@ to one flat little-endian float64 blob.
 
 Manifest layout:
 
-    format=sir-metric/1
+    format=sir-metric/2
     <meta key>=<value>            # no '=' in keys
     tensor.<name>=<d0>,<d1>,...:<byte offset>
+    blob.sum=<n>
 
 Tensor bytes live in ``data.blob`` at the stated offsets, C-order '<f8'.
 The extents tile the blob: sorted by offset, each starts where the previous
-one ends, and the last ends at the blob's end.
+one ends, and the last ends at the blob's end.  ``blob.sum``, the uint64 sum
+of the blob's 8-byte words modulo 2**64, catches any one flipped bit.
 
 The ``key=value`` value text, shared with run configs: bools are
 ``true``/``false``, floats their repr (exact round trip), tuples
@@ -27,7 +29,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-FORMAT_TAG = "sir-metric/1"
+FORMAT_TAG = "sir-metric/2"
+SUM_KEY = "blob.sum"
 MANIFEST_NAME = "manifest.txt"
 BLOB_NAME = "data.blob"
 
@@ -115,7 +118,7 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
     lines = [f"format={FORMAT_TAG}"]
     for key, value in meta.items():
         key = str(key)
-        if "=" in key or key.startswith("tensor.") or key == "format":
+        if "=" in key or key.startswith("tensor.") or key in ("format", SUM_KEY):
             raise ArchiveError(f"illegal meta key: {key!r}")
         value = format_value(value)
         if "\n" in value:
@@ -132,13 +135,15 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
             shutil.rmtree(stale)
     os.makedirs(tmp)
     try:
-        offset = 0
+        offset = total = 0
         with open(os.path.join(tmp, BLOB_NAME), "wb") as handle:
             for name in sorted(tensors):
                 array = np.ascontiguousarray(tensors[name], dtype="<f8")
                 lines.append(f"tensor.{name}={format_value(array.shape)}:{offset}")
                 handle.write(array.data)
                 offset += array.nbytes
+                total += int(array.view("<u8").sum())
+        lines.append(f"{SUM_KEY}={total % 2**64}")
         with open(os.path.join(tmp, MANIFEST_NAME), "w") as handle:
             handle.write("\n".join(lines) + "\n")
         if replacing:
@@ -155,8 +160,9 @@ def write_archive(dir_path, meta: dict, tensors: dict) -> None:
 
 def read_archive(dir_path):
     """Read manifest + blob back into (meta, tensors), both Entries: meta
-    maps keys to value text, tensors map names to float64 views of one
-    array read from the whole blob, whose extents must tile it."""
+    maps keys to value text (the format tag and blob.sum aside), tensors map
+    names to float64 views of one array read from the whole blob, whose
+    extents must tile it and whose words must sum to blob.sum."""
     manifest_path = os.path.join(dir_path, MANIFEST_NAME)
     blob_path = os.path.join(dir_path, BLOB_NAME)
     if not os.path.isfile(manifest_path):
@@ -166,7 +172,9 @@ def read_archive(dir_path):
     with open(manifest_path) as handle:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
     if not lines or lines[0] != f"format={FORMAT_TAG}":
-        raise ArchiveError(f"missing or unsupported format tag in {manifest_path}")
+        tag = lines[0].removeprefix("format=") if lines else ""
+        raise ArchiveError(f"archive {dir_path}: unsupported format tag {tag!r} "
+                           f"(this version reads {FORMAT_TAG!r})")
     for line in lines[1:]:
         if "=" not in line:
             raise ArchiveError(f"archive {dir_path}: malformed manifest line: {line!r}")
@@ -203,4 +211,8 @@ def read_archive(dir_path):
     if end != size:
         raise ArchiveError(f"archive {dir_path}: the tensors end at byte {end} "
                            f"of a {size}-byte blob")
-    return Entries(meta, dir_path), Entries(tensors, dir_path)
+    meta = Entries(meta, dir_path)
+    if meta.parse(SUM_KEY, int) != int(blob.view("<u8").sum()):
+        raise ArchiveError(f"archive {dir_path}: the blob's words do not sum to its {SUM_KEY}")
+    del meta[SUM_KEY]
+    return meta, Entries(tensors, dir_path)

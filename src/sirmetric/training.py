@@ -79,24 +79,19 @@ class Trainer:
         the current step), logging losses and writing per-epoch
         checkpoints under the configured output directory; the log holds
         every row before a checkpoint's step when the checkpoint is written.
-        A run that starts past step 0 keeps the rows of an existing loss log
-        that precede its step, which must be exactly steps 0 .. step - 1
-        (else ValueError), and appends after them."""
+        A run that starts past step 0 keeps an existing loss log's first
+        ``step`` rows, which must be steps 0 .. step - 1 (else ValueError, the
+        log untouched), cuts the log after them and appends there."""
         cfg = self.config
         total_steps = cfg.epochs * cfg.steps_per_epoch
         os.makedirs(cfg.out_dir, exist_ok=True)
         log_path = os.path.join(cfg.out_dir, "loss_log.csv")
-        kept = []
-        if self.step > 0 and os.path.exists(log_path):
-            kept = [row for row in read_loss_log(log_path) if row[0] < self.step]
-            if [row[0] for row in kept] != list(range(self.step)):
-                raise ValueError(f"{log_path} does not hold exactly the rows of steps "
-                                 f"0..{self.step - 1} to resume after ({len(kept)} rows "
-                                 f"before step {self.step})")
-        with open(log_path, "w") as log:
-            log.write(LOG_HEADER + "\n")
-            for row in kept:
-                log.write(self._format_row(row) + "\n")
+        resuming = self.step > 0 and os.path.exists(log_path)
+        if resuming:
+            os.truncate(log_path, _kept_log_end(log_path, self.step))
+        with open(log_path, "a" if resuming else "w") as log:
+            if not resuming:
+                log.write(LOG_HEADER + "\n")
             while self.step < total_steps:
                 if self.step % cfg.steps_per_epoch == 0:
                     epoch = self.step // cfg.steps_per_epoch
@@ -188,6 +183,19 @@ def step_losses(model: ReidModel, images: np.ndarray, keep, y_q: np.ndarray,
         f_q, f_n, model.cam_maps(f_q, y_q), model.cam_maps(f_n, y_n))
     neg = negative_recon_loss(taps, pseudo_q, pseudo_n)
     return cls, tri, center, cam, pos, neg, total_loss(cls, tri, center, cam, pos, neg, config.loss)
+
+
+def _kept_log_end(log_path, step: int) -> int:
+    """The byte offset past row ``step - 1`` of a loss log; ValueError unless
+    its header and first ``step`` rows are whole rows of steps 0 .. step - 1."""
+    with open(log_path, "rb") as handle:
+        for line_no, start in enumerate([LOG_HEADER + "\n"] + [f"{k}," for k in range(step)], 1):
+            line = handle.readline()
+            if not (line.startswith(start.encode()) and line.endswith(b"\n")):
+                raise ValueError(f"{log_path} does not hold exactly the rows of steps 0.."
+                                 f"{step - 1} to resume after (line {line_no} is not a "
+                                 f"whole line starting {start.rstrip()!r})")
+        return handle.tell()
 
 
 def read_loss_log(path) -> list:

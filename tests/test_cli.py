@@ -351,23 +351,46 @@ def test_checkpoint_adam_moment_shape_mismatch_names_tensor(tmp_path, capsys):
     assert ckpt in err and "'adam_m/cam.w'" in err
 
 
-@pytest.mark.parametrize("edit", ["shape", "stray", "missing"])
+@pytest.mark.parametrize("edit", ["shape", "missing"])
 def test_checkpoint_bad_registry_center_names_tensor(tmp_path, capsys, edit):
-    """A center of the wrong shape, one for an identity the net does not
-    have (4 of 0..3), or a missing one."""
+    """A centers matrix of the wrong shape (one identity short), or none
+    after a refresh."""
     ckpt, data_dir = _trained_run(tmp_path, capsys)
     meta, tensors = read_archive(ckpt)
-    name = {"shape": "registry/center_0", "stray": "registry/center_4",
-            "missing": "registry/center_3"}[edit]
     if edit == "shape":
-        tensors[name] = np.zeros(2)
-    elif edit == "stray":
-        tensors[name] = tensors["registry/center_0"]
+        tensors["registry/centers"] = tensors["registry/centers"][:-1]
     else:
-        del tensors[name]
+        del tensors["registry/centers"]
     write_archive(ckpt, meta, tensors)
     err = _eval_error(ckpt, data_dir, capsys)
-    assert ckpt in err and repr(name) in err
+    assert ckpt in err and "'registry/centers'" in err
+
+
+@pytest.mark.parametrize("archive", ["checkpoint", "dataset"])
+def test_flipped_blob_bit_is_error(tmp_path, capsys, archive):
+    """One bit flipped in the middle of a blob still tiles and parses; the
+    manifest's blob.sum catches it."""
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    target = ckpt if archive == "checkpoint" else data_dir
+    blob = os.path.join(target, "data.blob")
+    with open(blob, "r+b") as handle:
+        handle.seek(os.path.getsize(blob) // 2)
+        byte = handle.read(1)[0]
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte ^ 0x10]))
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert target in err and "blob.sum" in err
+
+
+@pytest.mark.parametrize("first", ["format=sir-metric/1", "format=other/9"])
+def test_unsupported_format_tag_is_one_line_quoting_it(tmp_path, capsys, first):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    manifest = os.path.join(ckpt, "manifest.txt")
+    lines = open(manifest).read().splitlines()
+    with open(manifest, "w") as handle:
+        handle.write("\n".join([first] + lines[1:]) + "\n")
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert ckpt in err and repr(first.split("=", 1)[1]) in err
 
 
 def test_train_on_nan_images_stops_at_first_step(tmp_path, capsys):

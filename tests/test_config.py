@@ -55,7 +55,7 @@ eval.flip=true
 out.dir=runs/default
 """
 DEFAULT_DATASET_META = """\
-format=sir-metric/1
+format=sir-metric/2
 kind=dataset
 num_identities=10
 samples_per_identity=20
@@ -65,17 +65,13 @@ gallery_per_identity=4
 seed=0
 image_shape=1,16,8
 appearance_bands=6
+blob.sum=551962147905311476
 """
 DEFAULT_CHECKPOINT_META = """\
-format=sir-metric/1
+format=sir-metric/2
 kind=checkpoint
 step=0
 adam.t=0
-adam.learning_rate=0.0002
-adam.beta1=0.9
-adam.beta2=0.999
-adam.epsilon=1e-08
-registry.refresh_period_epochs=1
 registry.last_refresh_epoch=none
 net.image_shape=1,16,8
 net.feature_shape=8,4,2
@@ -88,6 +84,7 @@ net.generator_hidden=64
 net.id_dropout=0.1
 eval.alpha=0.55
 eval.flip=true
+blob.sum=8163986409136004393
 """
 
 

@@ -382,7 +382,9 @@ def test_archive_format_checks(tmp_path):
     assert meta["kind"] == "dataset"
     np.testing.assert_array_equal(tensors["x"], [0.0, 1.0, 2.0])
     text = (tmp_path / "a" / "manifest.txt").read_text()
-    assert text.splitlines()[0] == "format=sir-metric/1"
+    assert text.splitlines()[0] == "format=sir-metric/2"
+    with pytest.raises(ArchiveError, match="illegal meta key"):
+        write_archive(tmp_path / "b", {"blob.sum": 0}, {})
     with pytest.raises(ArchiveError):
         read_archive(tmp_path / "missing")
     bad = tmp_path / "bad"
@@ -391,6 +393,18 @@ def test_archive_format_checks(tmp_path):
     (bad / "data.blob").write_bytes(b"")
     with pytest.raises(ArchiveError):
         read_archive(bad)
+
+
+def test_blob_sum_is_the_wrapping_sum_of_the_blob_words(tmp_path):
+    """Negative floats have the top bit set, so their words overflow 2**64."""
+    write_archive(tmp_path / "a", {}, {"x": -np.arange(1.0, 9.0), "y": np.array([np.inf, -0.0])})
+    raw = (tmp_path / "a" / "data.blob").read_bytes()
+    words = [int.from_bytes(raw[i:i + 8], "little") for i in range(0, len(raw), 8)]
+    assert sum(words) >= 2**64
+    lines = (tmp_path / "a" / "manifest.txt").read_text().splitlines()
+    assert f"blob.sum={sum(words) % 2**64}" in lines
+    meta, _ = read_archive(tmp_path / "a")
+    assert "blob.sum" not in meta
 
 
 def test_archive_rejects_blob_overrun(tmp_path):
