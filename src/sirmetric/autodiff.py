@@ -4,13 +4,13 @@ A ``Tensor`` wraps a numpy buffer; applying an operation records a backward
 closure on the result, so the computation graph doubles as the tape.
 ``backward()`` on a scalar walks that graph once in reverse topological
 order and accumulates gradients into every reachable tensor that asked for
-them.  The module holds only the ops the package runs: the shape ops
+them.  This module is the engine: ``Tensor``, ``no_grad``, the one node
+constructor ``node`` that every op (the loss kernels in ``losses`` and the
+reference ops in the tests included) builds its result with, the shape ops
 (``take``, ``reshape``, ``concat``, ``tensor_mean``), ``mask_mul``,
-``squash``, and fused nodes that each stand for a whole primitive chain
-with the chain's exact arithmetic (``dense`` layers and the loss kernels).
-It also provides the Adam optimizer, which owns the parameter storage, and
-a central finite-difference gradient checker used to verify every loss in
-this package.
+``squash``, the fused ``dense`` layer, the Adam optimizer, which owns the
+parameter storage, and a central finite-difference gradient checker used
+to verify every loss in this package.
 
 All math is float64.  The graph is single-use: run a fresh forward pass for
 every training step.  Tensors that do not require grad are plain immutable
@@ -144,19 +144,18 @@ class Tensor:
         return squash(self)
 
 
-def _node(data: np.ndarray, parents: tuple, rule) -> Tensor:
-    out = Tensor(data, requires_grad=True)
-    out._parents = parents
-    out._rule = rule
-    return out
-
-
-def _recording(*tensors: Tensor) -> bool:
+def node(data, parents: tuple, rule) -> Tensor:
+    """An op's result: a graph node whose backward calls ``rule`` with the
+    node's gradient when grad mode is on and a parent requires grad, else a
+    plain ``Tensor(data)``.  Every op builds its result here."""
     if _GRAD_ENABLED:
-        for t in tensors:
-            if t.requires_grad:
-                return True
-    return False
+        for parent in parents:
+            if parent.requires_grad:
+                out = Tensor(data, requires_grad=True)
+                out._parents = parents
+                out._rule = rule
+                return out
+    return Tensor(data)
 
 
 # ---- elementwise ops -----------------------------------------------------
@@ -170,13 +169,11 @@ def mask_mul(a, mask) -> Tensor:
         data = a.data * mask
     except ValueError:
         raise ShapeError(f"mask_mul: shapes {a.data.shape} and {mask.shape} do not broadcast") from None
-    if not _recording(a):
-        return Tensor(data)
 
     def rule(g):
         a._accumulate(_unbroadcast(g * mask, a.data.shape))
 
-    return _node(data, (a,), rule)
+    return node(data, (a,), rule)
 
 
 def relu_grad(g: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -204,8 +201,6 @@ def squash(a) -> Tensor:
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(sq_norm > 0.0, norm / (1.0 + sq_norm), 0.0)
     data = (rows * scale).reshape(a.data.shape)
-    if not _recording(a):
-        return Tensor(data)
 
     def rule(g):
         g_rows = g.reshape(rows.shape)
@@ -219,7 +214,7 @@ def squash(a) -> Tensor:
         grad = scale * g_rows + rows * (dot * curvature)
         a._accumulate(grad.reshape(a.data.shape))
 
-    return _node(data, (a,), rule)
+    return node(data, (a,), rule)
 
 
 # ---- reductions and shape ops -------------------------------------------
@@ -233,27 +228,23 @@ def tensor_mean(a, axis=None) -> Tensor:
     axes = {i % len(shape) for i in axes}
     count = int(np.prod([shape[i] for i in axes]))
     kept = tuple(1 if i in axes else n for i, n in enumerate(shape))  # g's shape, reduced axes kept
-    if not _recording(a):
-        return Tensor(data)
 
     def rule(g):
         grad = np.empty(shape)
         grad[...] = np.reshape(g / count, kept)
         a._accumulate(grad)
 
-    return _node(data, (a,), rule)
+    return node(data, (a,), rule)
 
 
 def reshape(a, shape) -> Tensor:
     a = _coerce(a)
     data = a.data.reshape(shape)
-    if not _recording(a):
-        return Tensor(data)
 
     def rule(g):
         a._accumulate(g.reshape(a.data.shape))
 
-    return _node(data, (a,), rule)
+    return node(data, (a,), rule)
 
 
 def _is_basic(index) -> bool:
@@ -266,20 +257,17 @@ def take(a, index) -> Tensor:
     """Slicing/indexing; the backward scatters, adding at repeated indices.
     Basic slices of one tensor scatter into one shared gradient array."""
     a = _coerce(a)
-    data = a.data[index]
-    if not _recording(a):
-        return Tensor(np.array(data))
-    basic = _is_basic(index)
+    data = np.array(a.data[index])
 
     def rule(g):
-        if basic:
+        if _is_basic(index):
             a._accumulate_at(index, g)
         else:
             grad = np.zeros_like(a.data)
             np.add.at(grad, index, g)
             a._accumulate(grad)
 
-    return _node(np.array(data), (a,), rule)
+    return node(data, (a,), rule)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -287,29 +275,26 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _recording(*tensors):
-        return Tensor(data)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def rule(g):
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
         sl = [slice(None)] * g.ndim
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 sl[axis] = slice(start, stop)
                 t._accumulate(g[tuple(sl)])
 
-    return _node(data, tuple(tensors), rule)
+    return node(data, tuple(tensors), rule)
 
 
 # ---- fused ops -------------------------------------------------------------
 #
-# Each is one node standing for a chain of primitive ops (add, sub, mul,
-# matmul, relu, ...), which live in the tests as the reference chains.
+# A fused op is one node standing for a chain of primitive ops (add, sub,
+# mul, matmul, relu, ...), which live in the tests as the reference chains.
 # Forward and backward evaluate the chain's numpy expressions in the
 # chain's order, and a parent receives its contributions in the order the
 # chain would add them, so values and gradients are bitwise those of the
-# chain.
+# chain.  The loss kernels in ``losses`` are fused the same way.
 
 
 def dense(x, w, b, act: str = "none") -> Tensor:
@@ -330,8 +315,6 @@ def dense(x, w, b, act: str = "none") -> Tensor:
         data = z
     else:
         raise ValueError(f"dense: unknown activation {act!r}")
-    if not _recording(x, w, b):
-        return Tensor(data)
 
     def rule(g):
         if act == "relu":
@@ -345,134 +328,7 @@ def dense(x, w, b, act: str = "none") -> Tensor:
         if w.requires_grad:
             w._accumulate(x.data.T @ g)
 
-    return _node(data, (x, w, b), rule)
-
-
-def _softmax_cross_entropy(z: np.ndarray, target: np.ndarray):
-    """cross_entropy's forward on logit values: (loss, exps, summed)."""
-    if z.ndim != 2 or target.shape != z.shape:
-        raise ShapeError(f"cross_entropy: logits {z.shape} vs target {target.shape}")
-    shift = z.max(axis=1, keepdims=True)
-    exps = np.exp(z - shift)
-    summed = exps.sum(axis=1)
-    losses = np.log(summed) + shift.reshape(-1) - (z * target).sum(axis=1)
-    return losses.sum() / losses.size, exps, summed
-
-
-def _softmax_cross_entropy_grads(g, exps, summed, target):
-    """The logits' two gradient contributions, in the order the chain adds them."""
-    g_rows = np.full(summed.shape, g / summed.size)
-    return exps * (g_rows / summed)[:, None], (-g_rows)[:, None] * target
-
-
-def cross_entropy(logits, target) -> Tensor:
-    """Mean over rows of logsumexp(logits) - sum(target * logits); the
-    logsumexp subtracts a detached row max, and ``target`` (one-hot rows) is a
-    constant."""
-    logits = _coerce(logits)
-    target = np.asarray(target, dtype=np.float64)
-    data, exps, summed = _softmax_cross_entropy(logits.data, target)
-    if not _recording(logits):
-        return Tensor(data)
-
-    def rule(g):
-        for grad in _softmax_cross_entropy_grads(g, exps, summed, target):
-            logits._accumulate(grad)
-
-    return _node(data, (logits,), rule)
-
-
-def center_cross_entropy(x, centers, target) -> Tensor:
-    """cross_entropy over the logits -|x_b - c_k|^2 of (B, d) rows against
-    (K, d) constant centers: the reshape, sub, square, sum and negation of
-    the distance chain and the cross-entropy in one node."""
-    x = _coerce(x)
-    centers = np.asarray(centers, dtype=np.float64)
-    if x.data.ndim != 2 or centers.ndim != 2 or centers.shape[1] != x.data.shape[1]:
-        raise ShapeError(f"center_cross_entropy: rows {x.data.shape} vs centers {centers.shape}")
-    target = np.asarray(target, dtype=np.float64)
-    rows, dim = x.data.shape
-    diff = x.data.reshape(rows, 1, dim) - centers[None, :, :]
-    data, exps, summed = _softmax_cross_entropy((diff * diff).sum(axis=2) * -1.0, target)
-    if not _recording(x):
-        return Tensor(data)
-
-    def rule(g):
-        first, second = _softmax_cross_entropy_grads(g, exps, summed, target)
-        g_dist = (first + second) * -1.0
-        # the sum's backward materialises the (B, K, d) broadcast: a stride-0
-        # operand would make the product below several times slower
-        g_sq = np.broadcast_to(g_dist[:, :, None], diff.shape).copy()
-        x._accumulate(_unbroadcast(2.0 * diff * g_sq, (rows, 1, dim)).reshape(rows, dim))
-
-    return _node(data, (x,), rule)
-
-
-def l1_terms(outputs, targets) -> Tensor:
-    """Sum over (output, constant target) pairs of mean(|output - target|),
-    added left to right."""
-    outputs = [_coerce(t) for t in outputs]
-    diffs = [t.data - np.asarray(target, dtype=np.float64)
-             for t, target in zip(outputs, targets, strict=True)]
-    data = None
-    for diff in diffs:
-        term = np.abs(diff).sum() / diff.size
-        data = term if data is None else data + term
-    if not _recording(*outputs):
-        return Tensor(data)
-
-    def rule(g):
-        for t, diff in zip(outputs, diffs):
-            if t.requires_grad:
-                t._accumulate(np.full(diff.shape, g / diff.size) * np.sign(diff))
-
-    return _node(data, tuple(outputs), rule)
-
-
-def weighted_sum(groups) -> Tensor:
-    """sum_j W_j * (sum_i w_ji * t_ji) over ``groups`` of (W_j, [(t_ji, w_ji),
-    ...]) with float weights; every sum adds left to right."""
-    groups = [(weight, [(_coerce(t), w) for t, w in terms]) for weight, terms in groups]
-    data = None
-    for weight, terms in groups:
-        inner = None
-        for t, w in terms:
-            inner = t.data * w if inner is None else inner + t.data * w
-        data = inner * weight if data is None else data + inner * weight
-    parents = tuple(t for _, terms in groups for t, _ in terms)
-    if not _recording(*parents):
-        return Tensor(data)
-
-    def rule(g):
-        for weight, terms in groups:
-            g_group = g * weight
-            for t, w in terms:
-                if t.requires_grad:
-                    t._accumulate(g_group * w)
-
-    return _node(data, parents, rule)
-
-
-def triplet_hinge(q, p, n, margin: float) -> Tensor:
-    """mean(relu(|q - p|^2 - |q - n|^2 + margin)) over rows of (B, d) inputs."""
-    q, p, n = _coerce(q), _coerce(p), _coerce(n)
-    diff_p = q.data - p.data
-    diff_n = q.data - n.data
-    hinge = (diff_p * diff_p).sum(axis=1) - (diff_n * diff_n).sum(axis=1) + margin
-    data = np.maximum(hinge, 0.0).sum() / hinge.size
-    if not _recording(q, p, n):
-        return Tensor(data)
-
-    def rule(g):
-        g_hinge = relu_grad(np.full(hinge.shape, g / hinge.size), hinge > 0.0)
-        grad_p = 2.0 * diff_p * g_hinge[:, None]
-        grad_n = 2.0 * diff_n * (-g_hinge)[:, None]
-        # the chain's order: (q - p) hands q then p its part, then (q - n)
-        for t, grad in ((q, grad_p), (p, -grad_p), (q, grad_n), (n, -grad_n)):
-            if t.requires_grad:
-                t._accumulate(grad)
-
-    return _node(data, (q, p, n), rule)
+    return node(data, (x, w, b), rule)
 
 
 # ---- optimizer -----------------------------------------------------------

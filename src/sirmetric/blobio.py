@@ -162,13 +162,16 @@ def read_archive(dir_path):
     """Read manifest + blob back into (meta, tensors), both Entries: meta
     maps keys to value text (the format tag and blob.sum aside), tensors map
     names to float64 views of one array read from the whole blob, whose
-    extents must tile it and whose words must sum to blob.sum."""
+    extents must tile it and whose words must sum to blob.sum.  A meta key
+    or tensor name given twice is an error, as blob.sum does not cover the
+    manifest."""
     manifest_path = os.path.join(dir_path, MANIFEST_NAME)
     blob_path = os.path.join(dir_path, BLOB_NAME)
     if not os.path.isfile(manifest_path):
         raise ArchiveError(f"no manifest at {manifest_path}")
     meta = {}
     entries = []
+    keys = set()
     with open(manifest_path) as handle:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
     if not lines or lines[0] != f"format={FORMAT_TAG}":
@@ -179,6 +182,9 @@ def read_archive(dir_path):
         if "=" not in line:
             raise ArchiveError(f"archive {dir_path}: malformed manifest line: {line!r}")
         key, value = line.split("=", 1)
+        if key in keys:
+            raise ArchiveError(f"archive {dir_path}: the manifest repeats {key!r}")
+        keys.add(key)
         if key.startswith("tensor."):
             name = key[len("tensor."):]
             try:

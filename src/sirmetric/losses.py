@@ -7,7 +7,10 @@ Conventions shared by every kernel here:
   i.e. constants during backward;
 - log-sum-exp terms use a detached max shift (same value, same gradient,
   no overflow);
-- every loss, the weighted total included, is one fused autodiff node.
+- every loss, the weighted total included, is one fused node built with
+  ``autodiff.node``: its function holds the forward and the backward of
+  the primitive chain it stands for, with the chain's numpy expressions in
+  the chain's order, so values and gradients are bitwise the chain's.
 """
 from __future__ import annotations
 
@@ -102,8 +105,44 @@ def _targets(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def triplet_loss(batch: TripletBatch, margin: float = 0.9) -> Tensor:
     """Hinge on squared Euclidean id-embedding distances, averaged over the
     batch: mean(max(d(q,p) - d(q,n) + margin, 0))."""
-    return ad.triplet_hinge(batch.query.id_feat, batch.positive.id_feat,
-                            batch.negative.id_feat, margin)
+    q, p, n = batch.query.id_feat, batch.positive.id_feat, batch.negative.id_feat
+    diff_p = q.data - p.data
+    diff_n = q.data - n.data
+    hinge = (diff_p * diff_p).sum(axis=1) - (diff_n * diff_n).sum(axis=1) + margin
+    data = np.maximum(hinge, 0.0).sum() / hinge.size
+
+    def rule(g):
+        g_hinge = ad.relu_grad(np.full(hinge.shape, g / hinge.size), hinge > 0.0)
+        grad_p = 2.0 * diff_p * g_hinge[:, None]
+        grad_n = 2.0 * diff_n * (-g_hinge)[:, None]
+        # the chain's order: (q - p) hands q then p its part, then (q - n)
+        for t, grad in ((q, grad_p), (p, -grad_p), (q, grad_n), (n, -grad_n)):
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    return ad.node(data, (q, p, n), rule)
+
+
+def _softmax_cross_entropy(z: np.ndarray, labels: np.ndarray):
+    """Mean over rows of logsumexp(z) - sum(target * z) for (B, K) logit
+    values and the one-hot rows ``target`` of ``labels``, with a detached
+    row-max shift: (loss, exps, summed, target)."""
+    if z.ndim != 2:
+        raise ShapeError(f"logits must be (batch, classes), got {z.shape}")
+    target = np.asarray(_targets(labels, z.shape[1]), dtype=np.float64)
+    if target.shape != z.shape:
+        raise ShapeError(f"logits {z.shape} vs one-hot rows {target.shape}")
+    shift = z.max(axis=1, keepdims=True)
+    exps = np.exp(z - shift)
+    summed = exps.sum(axis=1)
+    losses = np.log(summed) + shift.reshape(-1) - (z * target).sum(axis=1)
+    return losses.sum() / losses.size, exps, summed, target
+
+
+def _softmax_cross_entropy_grads(g, exps, summed, target):
+    """The logits' two gradient contributions, in the order the chain adds them."""
+    g_rows = np.full(summed.shape, g / summed.size)
+    return exps * (g_rows / summed)[:, None], (-g_rows)[:, None] * target
 
 
 def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
@@ -114,22 +153,39 @@ def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
     Pulls each embedding toward its identity's center and away from every
     other center at once, so no negative sampling is involved.  Centers are
     constants during backward; ``labels`` are integer labels or their
-    ``one_hot`` rows.
+    ``one_hot`` rows.  One node: the distance chain's reshape, sub, square,
+    sum and negation, then the cross-entropy over logits -d.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[1] != id_feat.shape[1]:
+    x = id_feat.data
+    if x.ndim != 2 or centers.ndim != 2 or centers.shape[1] != x.shape[1]:
         raise ShapeError(f"centers shape {centers.shape} does not match "
-                         f"embedding dim {id_feat.shape[1]}")
-    # cross-entropy over logits -d: mean(d_own + logsumexp(-d))
-    return ad.center_cross_entropy(id_feat, centers, _targets(labels, centers.shape[0]))
+                         f"embeddings {x.shape}")
+    rows, dim = x.shape
+    diff = x.reshape(rows, 1, dim) - centers[None, :, :]
+    data, exps, summed, target = _softmax_cross_entropy((diff * diff).sum(axis=2) * -1.0, labels)
+
+    def rule(g):
+        first, second = _softmax_cross_entropy_grads(g, exps, summed, target)
+        g_dist = (first + second) * -1.0
+        # the sum's backward materialises the (B, K, d) broadcast: a stride-0
+        # operand would make the product below several times slower
+        g_sq = np.broadcast_to(g_dist[:, :, None], diff.shape).copy()
+        id_feat._accumulate((2.0 * diff * g_sq).sum(axis=1))
+
+    return ad.node(data, (id_feat,), rule)
 
 
 def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy: mean(logsumexp(logits) - logit of the true label).
     ``labels`` are integer labels or their ``one_hot`` rows."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
-    return ad.cross_entropy(logits, _targets(labels, logits.shape[1]))
+    data, exps, summed, target = _softmax_cross_entropy(logits.data, labels)
+
+    def rule(g):
+        for grad in _softmax_cross_entropy_grads(g, exps, summed, target):
+            logits._accumulate(grad)
+
+    return ad.node(data, (logits,), rule)
 
 
 def cam_classification_loss(cam_logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -140,13 +196,23 @@ def cam_classification_loss(cam_logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def _l1_terms(outputs, targets, what: str) -> Tensor:
-    """Sum over (output, target) pairs of mean |output - target|; targets
-    are constants."""
-    targets = [np.asarray(target, dtype=np.float64) for target in targets]
+    """Sum over (output, target) pairs of mean |output - target|, added left
+    to right; targets are constants."""
+    diffs, data = [], None
     for output, target in zip(outputs, targets):
+        target = np.asarray(target, dtype=np.float64)
         if output.shape != target.shape:
             raise ShapeError(f"{what} {output.shape} vs target {target.shape}")
-    return ad.l1_terms(outputs, targets)
+        diffs.append(output.data - target)
+        term = np.abs(diffs[-1]).sum() / diffs[-1].size
+        data = term if data is None else data + term
+
+    def rule(g):
+        for t, diff in zip(outputs, diffs):
+            if t.requires_grad:
+                t._accumulate(np.full(diff.shape, g / diff.size) * np.sign(diff))
+
+    return ad.node(data, tuple(outputs), rule)
 
 
 def positive_recon_loss(aug_images, gray_query: np.ndarray,
@@ -181,11 +247,24 @@ def total_loss(cls_term: Tensor, triplet_term: Tensor, center_term: Tensor,
                cam_term: Tensor, pos_recon_term: Tensor, neg_recon_term: Tensor,
                weights: LossWeights) -> Tensor:
     """Weighted sum: id_weight * (cls + triplet + center group) +
-    recon_weight * (positive + negative + activation-map group)."""
-    return ad.weighted_sum([
-        (weights.id_weight, [(cls_term, weights.cls_weight),
-                             (triplet_term, weights.triplet_weight),
-                             (center_term, weights.center_weight)]),
-        (weights.recon_weight, [(pos_recon_term, weights.pos_recon_weight),
-                                (neg_recon_term, weights.neg_recon_weight),
-                                (cam_term, weights.cam_weight)])])
+    recon_weight * (positive + negative + activation-map group), every sum
+    added left to right."""
+    w = weights
+    data = ((cls_term.data * w.cls_weight + triplet_term.data * w.triplet_weight
+             + center_term.data * w.center_weight) * w.id_weight
+            + (pos_recon_term.data * w.pos_recon_weight
+               + neg_recon_term.data * w.neg_recon_weight
+               + cam_term.data * w.cam_weight) * w.recon_weight)
+
+    def rule(g):
+        g_id, g_recon = g * w.id_weight, g * w.recon_weight
+        for t, grad in ((cls_term, g_id * w.cls_weight), (triplet_term, g_id * w.triplet_weight),
+                        (center_term, g_id * w.center_weight),
+                        (pos_recon_term, g_recon * w.pos_recon_weight),
+                        (neg_recon_term, g_recon * w.neg_recon_weight),
+                        (cam_term, g_recon * w.cam_weight)):
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    return ad.node(data, (cls_term, triplet_term, center_term, pos_recon_term,
+                          neg_recon_term, cam_term), rule)

@@ -199,13 +199,24 @@ def _kept_log_end(log_path, step: int) -> int:
 
 
 def read_loss_log(path) -> list:
-    """Loss log rows as (step, floats...) tuples."""
+    """Loss log rows as (step, floats...) tuples.  A row that is not eight
+    numbers, like a killed run's torn last row, is a ValueError naming the
+    file and the line."""
     with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0] != LOG_HEADER:
+        lines = [(line_no, line.strip()) for line_no, line in enumerate(handle, 1)
+                 if line.strip()]
+    if not lines or lines[0][1] != LOG_HEADER:
         raise ValueError(f"unexpected loss log header in {path}")
+    width = len(LOG_HEADER.split(","))
     rows = []
-    for line in lines[1:]:
+    for line_no, line in lines[1:]:
         cells = line.split(",")
-        rows.append((int(cells[0]),) + tuple(float(c) for c in cells[1:]))
+        try:
+            row = (int(cells[0]),) + tuple(float(c) for c in cells[1:])
+        except ValueError:
+            row = ()
+        if len(row) != width:
+            raise ValueError(f"{path} line {line_no}: {line!r} is not a row of "
+                             f"{width} numbers")
+        rows.append(row)
     return rows

@@ -215,7 +215,8 @@ def test_train_eval_export_roundtrip(tmp_path, capsys):
     assert main(["export-embeddings", "--ckpt", ckpt,
                  "--data", data_dir, "--out", csv_path]) == 0
     capsys.readouterr()
-    lines = open(csv_path).read().splitlines()
+    with open(csv_path) as handle:
+        lines = handle.read().splitlines()
     header = lines[0].split(",")
     assert header[:2] == ["sample_id", "label"]
     assert len(lines) == 1 + 20
@@ -276,7 +277,8 @@ def _trained_run(tmp_path, capsys):
 def _edit_manifest(archive_dir, key, value=None):
     """Drop the ``key=`` line, or set its value when ``value`` is given."""
     manifest = os.path.join(archive_dir, "manifest.txt")
-    lines = open(manifest).read().splitlines()
+    with open(manifest) as handle:
+        lines = handle.read().splitlines()
     hits = [i for i, line in enumerate(lines) if line.startswith(key + "=")]
     assert len(hits) == 1
     if value is None:
@@ -382,11 +384,34 @@ def test_flipped_blob_bit_is_error(tmp_path, capsys, archive):
     assert target in err and "blob.sum" in err
 
 
+@pytest.mark.parametrize("archive", ["checkpoint", "dataset"])
+def test_repeated_manifest_key_is_error(tmp_path, capsys, archive):
+    """A second ``step=7`` line after the checkpoint's own, or the dataset's
+    gallery_idx extent renamed to a second query_idx: the extents still tile
+    the blob and its words still sum to blob.sum, so only the key check
+    catches either."""
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    target, key = (ckpt, "step") if archive == "checkpoint" else (data_dir, "tensor.query_idx")
+    manifest = os.path.join(target, "manifest.txt")
+    with open(manifest) as handle:
+        lines = handle.read().splitlines()
+    if archive == "checkpoint":
+        at = next(i for i, line in enumerate(lines) if line.startswith("step="))
+        lines.insert(at + 1, "step=7")
+    else:
+        lines = [line.replace("tensor.gallery_idx=", "tensor.query_idx=") for line in lines]
+    with open(manifest, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert target in err and f"repeats {key!r}" in err
+
+
 @pytest.mark.parametrize("first", ["format=sir-metric/1", "format=other/9"])
 def test_unsupported_format_tag_is_one_line_quoting_it(tmp_path, capsys, first):
     ckpt, data_dir = _trained_run(tmp_path, capsys)
     manifest = os.path.join(ckpt, "manifest.txt")
-    lines = open(manifest).read().splitlines()
+    with open(manifest) as handle:
+        lines = handle.read().splitlines()
     with open(manifest, "w") as handle:
         handle.write("\n".join([first] + lines[1:]) + "\n")
     err = _eval_error(ckpt, data_dir, capsys)

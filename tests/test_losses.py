@@ -1,9 +1,12 @@
 """Hand-computed loss values, degenerate cases, and per-loss gradient
 checks."""
+import inspect
+
 import numpy as np
 import pytest
 
 from sirmetric import autodiff as ad
+from sirmetric import losses
 from sirmetric.autodiff import ShapeError, Tensor
 from sirmetric.losses import (LossWeights, TripletBatch, cam_classification_loss,
                               center_discrepancy_loss, classification_loss,
@@ -219,6 +222,48 @@ def test_total_loss_linear_in_triplet_weight():
 def test_loss_weights_reject_negative():
     with pytest.raises(ValueError):
         LossWeights(margin=-0.1)
+
+
+def _leaf(*shape):
+    return Tensor(np.random.default_rng(11).uniform(0.1, 0.9, size=shape), requires_grad=True)
+
+
+# each public op and loss on inputs that require grad
+_OP_CASES = {
+    "node": lambda: ad.node(np.zeros(2), (_leaf(2),), None),
+    "mask_mul": lambda: ad.mask_mul(_leaf(2, 3), np.ones((2, 3))),
+    "squash": lambda: ad.squash(_leaf(2, 3)),
+    "tensor_mean": lambda: ad.tensor_mean(_leaf(2, 3), axis=0),
+    "reshape": lambda: ad.reshape(_leaf(2, 3), (3, 2)),
+    "take": lambda: ad.take(_leaf(2, 3), (slice(None), 1)),
+    "concat": lambda: ad.concat([_leaf(2, 3), _leaf(1, 3)]),
+    "dense": lambda: ad.dense(_leaf(2, 3), _leaf(3, 4), _leaf(4), "relu"),
+    "triplet_loss": lambda: triplet_loss(_batch([[0.0, 1.0]], [[1.0, 0.0]], [[1.0, 1.0]])),
+    "center_discrepancy_loss": lambda: center_discrepancy_loss(
+        _leaf(3, 2), np.array([0, 1, 1]), np.eye(2)),
+    "classification_loss": lambda: classification_loss(_leaf(3, 4), np.array([0, 3, 1])),
+    "cam_classification_loss": lambda: cam_classification_loss(_leaf(3, 4), np.array([2, 3, 1])),
+    "positive_recon_loss": lambda: positive_recon_loss(
+        [_leaf(1, 1, 2, 2) for _ in range(3)], np.zeros((1, 1, 2, 2)), np.ones((1, 1, 2, 2))),
+    "negative_recon_loss": lambda: negative_recon_loss(
+        [_leaf(1, 2, 2, 2) for _ in range(2)], np.zeros((1, 2, 2, 2)), np.ones((1, 2, 2, 2))),
+    "total_loss": lambda: total_loss(*[_leaf() for _ in range(6)], LossWeights()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for module in (ad, losses) for name, fn in vars(module).items()
+    if inspect.isfunction(fn) and fn.__module__ == module.__name__
+    and not name.startswith("_") and fn.__annotations__.get("return") == "Tensor"))
+def test_every_op_and_loss_records_nothing_under_no_grad(name):
+    """Every public function of autodiff or losses that returns a Tensor
+    (a new one fails here until it has a case) builds a graph node from
+    inputs that require grad, and a plain tensor under no_grad."""
+    assert _OP_CASES[name]().requires_grad
+    with ad.no_grad():
+        out = _OP_CASES[name]()
+    assert not out.requires_grad
+    assert out._parents == ()
 
 
 # gradient checks per loss, inputs sampled away from hinge and L1 kinks

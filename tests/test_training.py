@@ -2,6 +2,7 @@
 miniature scale."""
 import hashlib
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,16 @@ def test_loss_log_file_parses_back_exactly(tmp_path):
     rows = trainer.run(save_checkpoints=False)
     parsed = read_loss_log(tmp_path / "run" / "loss_log.csv")
     assert parsed == rows
+
+
+@pytest.mark.parametrize("tail", ["2", "25,"])
+def test_loss_log_with_a_torn_last_row_names_file_and_line(tmp_path, tail):
+    """A killed run can leave half a row: too few cells, or an empty one."""
+    log_path = tmp_path / "loss_log.csv"
+    log_path.write_text(f"{LOG_HEADER}\n0," + ",".join(["1.5"] * 7) + f"\n{tail}")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(log_path))} line 3: "
+                                         rf"'{tail}' is not a row of 8 numbers$"):
+        read_loss_log(log_path)
 
 
 def test_zero_weights_freeze_parameters(tmp_path):
