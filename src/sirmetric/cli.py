@@ -84,6 +84,13 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's seeding requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValueError, which main prints as one ``error:``
     line; a token like "-1e-4" or "-inf" is a value, not an option."""
@@ -105,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train from a config file")
     p_train.add_argument("--config", required=True, help="run config path")
-    p_train.add_argument("--seed", type=int, default=None, help="override train.seed")
+    p_train.add_argument("--seed", type=_seed, default=None, help="override train.seed")
     p_train.add_argument("--out", default=None, help="override out.dir")
     p_train.set_defaults(func=cmd_train)
 
@@ -119,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of all losses")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=_seed, default=0)
     p_grad.add_argument("--tol", type=float, default=1e-4)
     p_grad.set_defaults(func=cmd_gradcheck)
 
@@ -127,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--ids", type=int, required=True, help="number of identities")
     p_synth.add_argument("--per-id", type=int, required=True,
                          help="samples per identity")
-    p_synth.add_argument("--seed", type=int, required=True)
+    p_synth.add_argument("--seed", type=_seed, required=True)
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(func=cmd_synth)
 

@@ -59,9 +59,12 @@ class RunConfig:
                 ("epsilon", math.isfinite(self.epsilon) and self.epsilon > 0.0, "finite and > 0"),
                 ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
                 ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
-                ("eval_alpha", math.isfinite(self.eval_alpha), "finite")):
+                ("eval_alpha", math.isfinite(self.eval_alpha), "finite"),
+                ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ConfigError(f"{_TOP_KEYS[name]} must be {rule}, got {getattr(self, name)!r}")
+        if self.data.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {self.data.seed!r}")
         if self.data.image_shape != self.network.image_shape:
             raise ConfigError(
                 f"dataset image shape {self.data.image_shape} does not match "

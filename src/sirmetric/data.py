@@ -10,7 +10,6 @@ single image or a whole batch in one call.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,81 +106,69 @@ def generate(manifest: DatasetManifest) -> Dataset:
 def _sampler_index(dataset: Dataset) -> dict:
     """The triplet sampler's per-dataset index, built by the first call in
     O(T log T) time and O(T) memory for T train samples and cached on the
-    dataset."""
-    cache = dataset._sampler_cache
-    if not cache:
-        # a stable sort groups each identity's train positions in train order;
-        # adj[j] = position_j - j counts the non-members before member j
+    dataset: the train samples grouped by identity in train order, each
+    member's group, the group starts and counts, the eligible members'
+    positions (groups of two or more), their common group size m (0 when
+    the sizes differ), and the ascending negative keys."""
+    index = dataset._sampler_cache
+    if not index:
         labels = dataset.labels[dataset.train_idx]
         positions = np.argsort(labels, kind="stable")
-        idents, starts, counts = np.unique(labels[positions], return_index=True,
-                                           return_counts=True)
-        adj = positions - np.arange(len(positions)) + np.repeat(starts, counts)
-        members = dataset.train_idx[positions]
-        cache["train"] = dataset.train_idx.tolist()
-        member_list, adj_list = members.tolist(), adj.tolist()
-        cache["by_id"] = {ident: (member_list[s:s + c], adj_list[s:s + c]) for ident, s, c
-                          in zip(idents.tolist(), starts.tolist(), counts.tolist())}
-        cache["eligible"] = [(q, ident, slot) for ident, (same, _) in cache["by_id"].items()
-                             if len(same) >= 2 for slot, q in enumerate(same)]
-        # sample_triplets' tables, when every eligible identity has the same m
-        # members and a negative exists: one row of members and adj per identity
-        eligible = counts >= 2
-        sizes = np.unique(counts[eligible])
-        cache["uniform"] = None
-        if len(sizes) == 1 and len(labels) > sizes[0]:
-            rows = starts[eligible, None] + np.arange(sizes[0])
-            cache["uniform"] = (members[rows], adj[rows], dataset.train_idx)
-    return cache
+        _, starts, counts = np.unique(labels[positions], return_index=True, return_counts=True)
+        group = np.repeat(np.arange(len(counts)), counts)
+        # position_j - j + start counts the non-members before member j; the
+        # offset group * (T + 1) makes the keys ascend across groups too
+        total = len(labels)
+        keys = positions - np.arange(total) + starts[group] + group * (total + 1)
+        sizes = np.unique(counts[counts >= 2])
+        index.update(members=dataset.train_idx[positions], group=group, starts=starts,
+                     counts=counts, eligible=np.flatnonzero(counts[group] >= 2),
+                     size=int(sizes[0]) if len(sizes) == 1 else 0, keys=keys)
+    return index
 
 
 def sample_triplet(dataset: Dataset, rng) -> tuple:
-    """Uniform random (query, positive, negative) train indices.
-
-    Query is uniform over train samples of identities with at least two
-    train samples; positive is a different sample of the same identity;
-    negative is any train sample of another identity.  Three draws, in that
-    order: the query's position among the eligible samples, the positive's
-    among the query identity's other samples, and the negative's rank among
-    the non-members.
-    """
-    cache = _sampler_index(dataset)
-    eligible = cache["eligible"]
-    if not eligible:
-        raise ValueError("no identity has >= 2 train samples")
-    q_idx, identity, slot = eligible[int(rng.integers(len(eligible)))]
-    same, adj = cache["by_id"][identity]
-    # a uniform draw over the identity's other samples: skip the query's slot
-    j = int(rng.integers(len(same) - 1))
-    p_idx = same[j + (j >= slot)]
-    train = cache["train"]
-    if len(train) == len(same):
-        raise ValueError("no negative candidates outside the query identity")
-    # the k-th non-member sits after the members whose adj is <= k
-    k = int(rng.integers(len(train) - len(same)))
-    n_idx = train[k + bisect_right(adj, k)]
-    return q_idx, p_idx, n_idx
+    """One triplet of sample_triplets, as ints."""
+    return tuple(int(part[0]) for part in sample_triplets(dataset, rng, 1))
 
 
 def sample_triplets(dataset: Dataset, rng, count: int) -> tuple:
-    """``count`` triplets as (query, positive, negative) index arrays: the
-    values of ``count`` sample_triplet calls, leaving ``rng`` in the same
-    state.  When every eligible identity has the same number m of train
-    samples, one ``rng.integers`` call with the bounds (E, m - 1, T - m)
-    repeated ``count`` times takes the same draws (E eligible samples, T
-    train samples); other datasets take the per-triplet calls."""
-    table = _sampler_index(dataset)["uniform"]
-    if table is None:
-        return tuple(np.array(part) for part in zip(
-            *[sample_triplet(dataset, rng) for _ in range(count)]))
-    members, adj, train = table
-    groups, size = members.shape
-    bounds = np.tile([groups * size, size - 1, len(train) - size], count)
-    position, j, k = rng.integers(0, bounds).reshape(count, 3).T
-    group, slot = np.divmod(position, size)
-    # sample_triplet's index arithmetic, one triplet per row
-    n_rank = k + (adj[group] <= k[:, None]).sum(axis=1)
-    return members[group, slot], members[group, j + (j >= slot)], train[n_rank]
+    """``count`` uniform random triplets as (query, positive, negative)
+    train index arrays.
+
+    Query is uniform over train samples of identities with at least two
+    train samples; positive is a different sample of the same identity;
+    negative is any train sample of another identity.  Three draws per
+    triplet, in that order: the query's position among the E eligible
+    samples, the positive's among the query identity's m - 1 other
+    samples, and the negative's rank among the T - m non-members.  When
+    every eligible identity has the same m, one ``rng.integers`` call with
+    those bounds repeated ``count`` times takes the same draws.
+    """
+    index = _sampler_index(dataset)
+    eligible, group, starts = index["eligible"], index["group"], index["starts"]
+    if not len(eligible):
+        raise ValueError("no identity has >= 2 train samples")
+    if len(starts) == 1:
+        raise ValueError("no negative candidates outside the query identity")
+    total, size = len(group), index["size"]
+    if size:
+        draws = rng.integers(0, np.tile([len(eligible), size - 1, total - size], count))
+    else:
+        draws = []
+        for _ in range(count):
+            position = rng.integers(len(eligible))
+            m = index["counts"][group[eligible[position]]]
+            draws += [position, rng.integers(m - 1), rng.integers(total - m)]
+    position, j, k = np.asarray(draws, dtype=np.int64).reshape(count, 3).T
+    query = eligible[position]
+    g = group[query]
+    start = starts[g]
+    # skip the query's slot for the positive; the k-th non-member sits after
+    # the members whose key is <= k
+    positive = start + j + (j >= query - start)
+    negative = k + np.searchsorted(index["keys"], g * (total + 1) + k, side="right") - start
+    return index["members"][query], index["members"][positive], dataset.train_idx[negative]
 
 
 def to_grayscale(images: np.ndarray) -> np.ndarray:

@@ -153,28 +153,22 @@ class ReidModel:
             id_feat = ad.mask_mul(id_feat, keep)
         return DisentangledEmbedding(id_feat, app_feat)
 
-    def generator_tap(self, id_feat: Tensor, app_feat: Tensor) -> Tensor:
-        """Embedding pair -> feature tap rows (B, C_b * H_b * W_b): the
-        generator's second hidden layer, a flattened backbone grid."""
+    def generator_forward(self, id_feat: Tensor, app_feat: Tensor,
+                          image_rows: int | None = None):
+        """Embedding pair -> (feature tap (B, C_b, H_b, W_b), image (R, 1, H, W)).
+
+        The tap is the generator's second hidden layer reshaped to the
+        backbone grid; the image head maps its first R = ``image_rows`` rows
+        (all B by default) through a sigmoid into [0, 1].
+        """
         if id_feat.data.ndim != 2 or id_feat.data.shape[1] != self.config.id_dim:
             raise ShapeError(f"generator id input needs (B, {self.config.id_dim}), "
                              f"got {id_feat.data.shape}")
         if app_feat.data.ndim != 2 or app_feat.data.shape[1] != self.config.app_dim:
             raise ShapeError(f"generator appearance input needs (B, {self.config.app_dim}), "
                              f"got {app_feat.data.shape}")
-        joined = ad.concat([id_feat, app_feat], axis=1)
-        h = self._dense(joined, "generator", "1", "relu")
-        return self._dense(h, "generator", "2", "relu")
-
-    def generator_forward(self, id_feat: Tensor, app_feat: Tensor,
-                          image_rows: int | None = None):
-        """Embedding pair -> (feature tap (B, C_b, H_b, W_b), image (R, 1, H, W)).
-
-        The tap is generator_tap reshaped to the backbone grid; the image
-        head maps its first R = ``image_rows`` rows (all B by default)
-        through a sigmoid into [0, 1].
-        """
-        tap_rows = self.generator_tap(id_feat, app_feat)
+        hidden = self._dense(ad.concat([id_feat, app_feat], axis=1), "generator", "1", "relu")
+        tap_rows = self._dense(hidden, "generator", "2", "relu")
         batch = tap_rows.shape[0]
         image_rows = batch if image_rows is None else image_rows
         tap = tap_rows.reshape((batch,) + self.config.feature_shape)

@@ -19,8 +19,8 @@ from .cam import augment_negative, augment_positive, build_pseudo_gt_batch, gene
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clusters import ClusterRegistry
 from .config import ConfigError, RunConfig
-# sample_triplet stays importable from here: perfbench fills the sampler's index
-# and traces the per-triplet draws through this name
+# the step draws through sample_triplets; sample_triplet stays importable from
+# here because perfbench fills the sampler's index through this name
 from .data import (Dataset, generate, load_dataset, randomly_grayscale,  # noqa: F401
                    sample_triplet, sample_triplets, to_grayscale)
 from .losses import (TripletBatch, cam_classification_loss,

@@ -100,6 +100,29 @@ def _one_error_line(capsys, argv) -> str:
     return err
 
 
+@pytest.mark.parametrize("line, key", [("train.seed=-1", "train.seed"),
+                                       ("data.seed=-3", "data.seed")])
+def test_negative_seed_in_config_names_its_key(tmp_path, capsys, line, key):
+    config_path, _ = _write_config(tmp_path)
+    with open(config_path) as handle:
+        config = handle.read().replace("data.seed=1\n", "")
+    with open(config_path, "w") as handle:
+        handle.write(config + line + "\n")
+    assert _one_error_line(capsys, ["train", "--config", config_path]) == (
+        f"error: {key} must be >= 0, got {line.split('=')[1]}")
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck", "synth"])
+def test_negative_seed_option_names_the_option(tmp_path, capsys, command):
+    config_path, _ = _write_config(tmp_path)
+    rest = {"train": ["--config", config_path],
+            "gradcheck": [],
+            "synth": ["--ids", "4", "--per-id", "5", "--out", str(tmp_path / "data")]}[command]
+    assert _one_error_line(capsys, [command, "--seed", "-1"] + rest) == (
+        "error: argument --seed: expected an integer >= 0, got '-1'")
+    assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
+
+
 def test_train_config_path_naming_a_directory_is_error(tmp_path, capsys):
     assert str(tmp_path) in _one_error_line(capsys, ["train", "--config", str(tmp_path)])
 

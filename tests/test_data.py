@@ -184,10 +184,11 @@ def test_triplet_draws_match_list_reference(tmp_path):
 
 
 def test_batched_triplet_draws_match_sample_triplet(tmp_path):
-    """sample_triplets takes the triplets of as many sample_triplet calls and
-    leaves the generator where they do: in one batched draw on the shuffled
-    set and on uniform sets (6, 12 and 2 train samples per identity), by
-    per-triplet calls on the sets with unequal groups."""
+    """sample_triplets takes the oracle's triplets, count 0 included, and
+    leaves the generator where the oracle's draws do: in one batched draw on
+    the shuffled set and on uniform sets (6, 12 and 2 train samples per
+    identity), by three scalar draws per triplet on the sets with unequal
+    groups."""
     uniform = [generate(DatasetManifest()),
                generate(DatasetManifest(num_identities=100, image_shape=(3, 16, 8), seed=3)),
                generate(DatasetManifest(num_identities=4, samples_per_identity=5,
@@ -196,13 +197,15 @@ def test_batched_triplet_draws_match_sample_triplet(tmp_path):
     batched = []
     for case in _draw_cases(tmp_path) + uniform:
         for seed in range(10):
-            for count in (1, 8, 64):
+            for count in (0, 1, 8, 64):
                 rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 q_idx, p_idx, n_idx = sample_triplets(case, rng, count)
-                assert list(zip(q_idx.tolist(), p_idx.tolist(), n_idx.tolist())) == [
-                    sample_triplet(case, ref_rng) for _ in range(count)]
+                assert all(part.shape == (count,) and part.dtype == np.int64
+                           for part in (q_idx, p_idx, n_idx))
+                assert list(zip(q_idx.tolist(), p_idx.tolist(), n_idx.tolist())) == list(
+                    _reference_triplets(case, ref_rng, count))
                 assert rng.random() == ref_rng.random()
-        batched.append(case._sampler_cache["uniform"] is not None)
+        batched.append(case._sampler_cache["size"] > 0)
     assert batched == [False, True, False, False, True, True, True]
 
 
@@ -218,8 +221,10 @@ def test_copied_dataset_builds_its_own_sampler_index():
 
 
 def _entries(value):
-    """Entries held by nested lists, tuples and dicts, each container counted
-    by its length."""
+    """Entries held by nested lists, tuples, dicts and arrays, each container
+    counted by its length and each array by its size."""
+    if isinstance(value, np.ndarray):
+        return value.size
     if isinstance(value, dict):
         return len(value) + sum(_entries(v) for v in value.values())
     if isinstance(value, (list, tuple)):
@@ -228,19 +233,22 @@ def _entries(value):
 
 
 def test_sampler_index_is_linear_in_train_size():
-    """1,000 identities x 12 train samples: a per-identity list of every
-    other identity's samples would hold about 12 million entries."""
-    labels = np.repeat(np.arange(1000), 12)
-    train = np.random.default_rng(0).permutation(len(labels))
-    ds = Dataset(np.zeros((len(labels), 1, 1, 1)), labels, train, train[:0], train[:0],
-                 DatasetManifest(num_identities=1000, samples_per_identity=12,
-                                 train_per_identity=12, query_per_identity=0,
-                                 gallery_per_identity=0))
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        q, p, n = sample_triplet(ds, rng)
-        assert q != p and labels[q] == labels[p] != labels[n]
-    assert _entries(ds._sampler_cache) <= 10 * len(train)
+    """1,000 identities with 12 train samples each, and 1,000 where one
+    holds 10,000 and the rest 2 each: a per-identity list of every other
+    identity's samples would hold about 12 million entries, and a padded
+    identities x largest-group table 10 million on the skewed set."""
+    for counts in (np.full(1000, 12), np.r_[10_000, np.full(999, 2)]):
+        labels = np.repeat(np.arange(1000), counts)
+        train = np.random.default_rng(0).permutation(len(labels))
+        ds = Dataset(np.zeros((len(labels), 1, 1, 1)), labels, train, train[:0], train[:0],
+                     DatasetManifest(num_identities=1000, samples_per_identity=12,
+                                     train_per_identity=12, query_per_identity=0,
+                                     gallery_per_identity=0))
+        rng = np.random.default_rng(1)
+        for _ in range(1000):
+            q, p, n = sample_triplet(ds, rng)
+            assert q != p and labels[q] == labels[p] != labels[n]
+        assert _entries(ds._sampler_cache) <= 10 * len(train)
 
 
 def test_triplet_covers_all_pairs_two_by_two():
