@@ -8,9 +8,9 @@ them.  This module is the engine: ``Tensor``, ``no_grad``, the one node
 constructor ``node`` that every op (the loss kernels in ``losses`` and the
 reference ops in the tests included) builds its result with, the shape ops
 (``take``, ``reshape``, ``concat``, ``tensor_mean``), ``mask_mul``,
-``squash``, the fused ``dense`` layer, the Adam optimizer, which owns the
-parameter storage, and a central finite-difference gradient checker used
-to verify every loss in this package.
+``squash``, the fused ``dense`` layer, the Adam optimizer, state only, which
+owns the parameter storage, and a central finite-difference gradient
+checker used to verify every loss in this package.
 
 All math is float64.  The graph is single-use: run a fresh forward pass for
 every training step.  Tensors that do not require grad are plain immutable
@@ -137,8 +137,8 @@ class Tensor:
     def mean(self, axis=None):
         return tensor_mean(self, axis)
 
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], tuple) else shape)
+    def reshape(self, shape: tuple):
+        return reshape(self, shape)
 
     def squash(self):
         return squash(self)
@@ -187,32 +187,28 @@ def sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def squash(a) -> Tensor:
-    """Norm-bounding nonlinearity: v -> (|v|^2 / (1 + |v|^2)) * v / |v|.
-
-    Accepts a single vector (1-D) or a batch of row vectors (2-D, one row
-    per sample).  The zero vector maps to the zero vector.
+    """Norm-bounding nonlinearity on each row of a (B, d) batch:
+    v -> (|v|^2 / (1 + |v|^2)) * v / |v|.  The zero row maps to the zero row.
     """
     a = _coerce(a)
-    if a.data.ndim not in (1, 2):
-        raise ShapeError(f"squash expects a vector or row batch, got shape {a.data.shape}")
-    rows = a.data.reshape(1, -1) if a.data.ndim == 1 else a.data
+    if a.data.ndim != 2:
+        raise ShapeError(f"squash expects a (B, d) row batch, got shape {a.data.shape}")
+    rows = a.data
     sq_norm = (rows * rows).sum(axis=1, keepdims=True)
     norm = np.sqrt(sq_norm)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(sq_norm > 0.0, norm / (1.0 + sq_norm), 0.0)
-    data = (rows * scale).reshape(a.data.shape)
+    data = rows * scale
 
     def rule(g):
-        g_rows = g.reshape(rows.shape)
-        dot = (rows * g_rows).sum(axis=1, keepdims=True)
+        dot = (rows * g).sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
             curvature = np.where(
                 sq_norm > 0.0,
                 (1.0 - sq_norm) / (norm * (1.0 + sq_norm) ** 2),
                 0.0,
             )
-        grad = scale * g_rows + rows * (dot * curvature)
-        a._accumulate(grad.reshape(a.data.shape))
+        a._accumulate(scale * g + rows * (dot * curvature))
 
     return node(data, (a,), rule)
 
@@ -247,25 +243,18 @@ def reshape(a, shape) -> Tensor:
     return node(data, (a,), rule)
 
 
-def _is_basic(index) -> bool:
-    """A basic index (ints and slices) selects each element at most once."""
-    parts = index if isinstance(index, tuple) else (index,)
-    return all(isinstance(part, (slice, int)) for part in parts)
-
-
 def take(a, index) -> Tensor:
-    """Slicing/indexing; the backward scatters, adding at repeated indices.
-    Basic slices of one tensor scatter into one shared gradient array."""
+    """Basic indexing (ints and slices, so each element is selected at most
+    once); any other index is a ShapeError.  Slices of one tensor scatter
+    their gradients into one shared gradient array."""
     a = _coerce(a)
+    if not all(isinstance(part, (slice, int)) for part in
+               (index if isinstance(index, tuple) else (index,))):
+        raise ShapeError(f"take expects ints and slices, got {index!r}")
     data = np.array(a.data[index])
 
     def rule(g):
-        if _is_basic(index):
-            a._accumulate_at(index, g)
-        else:
-            grad = np.zeros_like(a.data)
-            np.add.at(grad, index, g)
-            a._accumulate(grad)
+        a._accumulate_at(index, g)
 
     return node(data, (a,), rule)
 
@@ -340,18 +329,14 @@ class Adam:
     The optimizer owns the storage: the parameters and both moments each
     live in one flat float64 buffer, and every ``p.data``, ``m[name]`` and
     ``v[name]`` is a view into it.  Assign new values with ``[...] =``;
-    rebinding ``p.data`` detaches the parameter from the optimizer.
-    ``step()`` updates all three buffers with whole-buffer ufuncs and clears
-    the gradients; it raises if any parameter is missing a gradient.
+    rebinding ``p.data`` detaches the parameter from the optimizer.  The
+    optimizer is state only: ``step`` takes the four settings, updates all
+    three buffers with whole-buffer ufuncs and clears the gradients; it
+    raises if any parameter is missing a gradient.
     """
 
-    def __init__(self, params: dict, lr: float = 0.0002, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict):
         self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self._flat = np.concatenate([p.data.reshape(-1) for p in params.values()])
         self._m, self._v = np.zeros((2,) + self._flat.shape)
@@ -365,13 +350,13 @@ class Adam:
             self.v[name] = self._v[start:stop].reshape(p.data.shape)
             start = stop
 
-    def step(self) -> None:
+    def step(self, lr: float, beta1: float, beta2: float, epsilon: float) -> None:
         for name, p in self.params.items():
             if p.grad is None:
                 raise GraphError(f"parameter '{name}' has no gradient; run backward first")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - beta1 ** self.t
+        bc2 = 1.0 - beta2 ** self.t
         if self._scratch is None:
             self._scratch = np.empty((2,) + self._flat.shape)
         (g, a), m, v = self._scratch, self._m, self._v
@@ -381,18 +366,18 @@ class Adam:
         #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
         #   p -= (m / (sqrt(v) (1 / sqrt(bc2)) + epsilon)) (lr / bc1)
         # in the same operation order, so the bits match
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(g, 1.0 - self.beta1, out=a)
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=a)
         np.add(m, a, out=m)
-        np.multiply(v, self.beta2, out=v)
+        np.multiply(v, beta2, out=v)
         np.multiply(g, g, out=a)
-        np.multiply(a, 1.0 - self.beta2, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
         np.add(v, a, out=v)
         np.sqrt(v, out=g)  # g is spent; reuse it
         np.multiply(g, 1.0 / math.sqrt(bc2), out=g)
-        np.add(g, self.epsilon, out=g)
+        np.add(g, epsilon, out=g)
         np.divide(m, g, out=a)
-        np.multiply(a, self.lr / bc1, out=a)
+        np.multiply(a, lr / bc1, out=a)
         np.subtract(self._flat, a, out=self._flat)
         for p in self.params.values():
             p.grad = None

@@ -3,8 +3,9 @@
 ``registry/centers`` matrix; meta the step, Adam's t, the last refresh
 epoch, the ``net.*`` keys (the run config's, from one NetworkConfig field
 table) and the eval defaults, so a checkpoint is self-contained for
-inference.  It stores only what a load reads: a resume takes the Adam
-settings, schedule, refresh period and sampling settings from its run config.
+inference.  It stores only what a load reads: the Adam settings, schedule,
+refresh period and sampling settings belong to the run config, and
+``Trainer.train_step`` passes the Adam settings to each step.
 """
 from __future__ import annotations
 
@@ -45,8 +46,8 @@ def load_checkpoint(dir_path):
     """Rebuild (model, optimizer, registry, meta) from a checkpoint
     directory.  Parameter values, Adam moments and step count, and cluster
     centers are restored bit-exactly; the model wraps the stored parameters
-    (no random draw) and the optimizer, an ``Adam(model.params)`` whose default
-    settings a resume replaces, copies them into its storage.  A missing or
+    (no random draw) and the optimizer, ``Adam(model.params)``, copies them
+    into its storage and holds exactly the stored state.  A missing or
     unparsable entry, or a parameter, Adam moment or centers tensor whose
     shape disagrees with the net.* keys, raises ArchiveError naming the key
     or tensor and the directory."""

@@ -63,8 +63,6 @@ class RunConfig:
                 ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ConfigError(f"{_TOP_KEYS[name]} must be {rule}, got {getattr(self, name)!r}")
-        if self.data.seed < 0:
-            raise ConfigError(f"data.seed must be >= 0, got {self.data.seed!r}")
         if self.data.image_shape != self.network.image_shape:
             raise ConfigError(
                 f"dataset image shape {self.data.image_shape} does not match "

@@ -39,6 +39,8 @@ class DatasetManifest:
     appearance_bands: int = 6
 
     def __post_init__(self):
+        if self.seed < 0:  # named by its run-config key
+            raise ValueError(f"data.seed must be >= 0, got {self.seed!r}")
         if self.num_identities < 2:
             raise ValueError("need at least 2 identities")
         split = self.train_per_identity + self.query_per_identity + self.gallery_per_identity

@@ -173,12 +173,12 @@ _CHECKS = [
 ]
 
 
-def gradcheck_all(seed: int = 0, tol: float = 1e-4,
-                  config: NetworkConfig | None = None) -> dict[str, ad.GradCheckReport]:
-    """Run every loss check; returns each loss's report by name, in check
-    order."""
-    config = config if config is not None else NetworkConfig(id_dropout=0.0)
-    model = ReidModel(config, seed=seed)
+def gradcheck_all(seed: int = 0, tol: float = 1e-4) -> dict[str, ad.GradCheckReport]:
+    """Run every loss check on a default-config model; returns each loss's
+    report by name, in check order."""
+    if seed < 0:
+        raise ValueError(f"gradcheck seed must be >= 0, got {seed!r}")
+    model = ReidModel(NetworkConfig(), seed=seed)
     reports = {}
     for index, (name, check) in enumerate(_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 4, index)))

@@ -153,13 +153,12 @@ class ReidModel:
             id_feat = ad.mask_mul(id_feat, keep)
         return DisentangledEmbedding(id_feat, app_feat)
 
-    def generator_forward(self, id_feat: Tensor, app_feat: Tensor,
-                          image_rows: int | None = None):
+    def generator_forward(self, id_feat: Tensor, app_feat: Tensor, image_rows: int):
         """Embedding pair -> (feature tap (B, C_b, H_b, W_b), image (R, 1, H, W)).
 
         The tap is the generator's second hidden layer reshaped to the
         backbone grid; the image head maps its first R = ``image_rows`` rows
-        (all B by default) through a sigmoid into [0, 1].
+        through a sigmoid into [0, 1].
         """
         if id_feat.data.ndim != 2 or id_feat.data.shape[1] != self.config.id_dim:
             raise ShapeError(f"generator id input needs (B, {self.config.id_dim}), "
@@ -170,7 +169,6 @@ class ReidModel:
         hidden = self._dense(ad.concat([id_feat, app_feat], axis=1), "generator", "1", "relu")
         tap_rows = self._dense(hidden, "generator", "2", "relu")
         batch = tap_rows.shape[0]
-        image_rows = batch if image_rows is None else image_rows
         tap = tap_rows.reshape((batch,) + self.config.feature_shape)
         head_rows = tap_rows if image_rows == batch else tap_rows[:image_rows]
         image = self._dense(head_rows, "generator", "3", "sigmoid")

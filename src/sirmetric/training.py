@@ -52,9 +52,7 @@ class Trainer:
         self.config = config
         self.dataset = dataset
         self.model = model if model is not None else ReidModel(config.network, config.seed)
-        self.optimizer = optimizer if optimizer is not None else Adam(
-            self.model.params, lr=config.learning_rate, beta1=config.beta1,
-            beta2=config.beta2, epsilon=config.epsilon)
+        self.optimizer = optimizer if optimizer is not None else Adam(self.model.params)
         self.registry = registry if registry is not None else ClusterRegistry()
         self.step = int(start_step)
         self.loss_rows: list[tuple] = []
@@ -63,14 +61,12 @@ class Trainer:
     def from_checkpoint(cls, ckpt_dir, config: RunConfig,
                         dataset: Dataset | None = None) -> "Trainer":
         """Resume: the checkpoint supplies the state (parameters, Adam moments and
-        t, centers and their epoch, step); the run config all else, all four Adam
-        settings and the center refresh period too."""
+        t, centers and their epoch, step); the run config all else, the Adam
+        settings each step passes and the center refresh period too."""
         model, optimizer, registry, meta = load_checkpoint(ckpt_dir)
         if model.config != config.network:
             raise ConfigError("checkpoint network configuration does not match "
                               "the run config")
-        optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.epsilon = (
-            config.learning_rate, config.beta1, config.beta2, config.epsilon)
         return cls(config, dataset=dataset, model=model, optimizer=optimizer,
                    registry=registry, start_step=meta.parse("step", int))
 
@@ -135,7 +131,7 @@ class Trainer:
                 raise ValueError(f"step {self.step}: non-finite {name} ({value!r}); "
                                  "stopped before the update")
         losses[-1].backward()
-        self.optimizer.step()
+        self.optimizer.step(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
         self.loss_rows.append(row)
         self.step += 1
         return row

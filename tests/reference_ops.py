@@ -151,3 +151,18 @@ def tensor_sum(a, axis=None) -> Tensor:
             a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
     return node(data, (a,), rule)
+
+
+def scatter_take(a, index) -> Tensor:
+    """Indexing by any numpy index; the backward scatters with np.add.at,
+    adding at repeated indices.  The reference for the engine's basic-index
+    ``take``."""
+    a = _coerce(a)
+    data = np.array(a.data[index])
+
+    def rule(g):
+        grad = np.zeros_like(a.data)
+        np.add.at(grad, index, g)
+        a._accumulate(grad)
+
+    return node(data, (a,), rule)

@@ -11,24 +11,24 @@ import pytest
 from sirmetric import autodiff as ad
 from sirmetric.autodiff import Adam, GraphError, ShapeError, Tensor
 
-from reference_ops import (absolute, add, exp, log, matmul, mul, relu, sigmoid, square,
-                           tensor_sum)
+from reference_ops import (absolute, add, exp, log, matmul, mul, relu, scatter_take, sigmoid,
+                           square, tensor_sum)
 
 
 def test_squash_three_four_vector():
     # |v|=5 so the output is (25/26) * [0.6, 0.8]
-    out = ad.squash(Tensor([3.0, 4.0]))
+    out = ad.squash(Tensor([[3.0, 4.0]]))
     np.testing.assert_allclose(
-        out.data, [0.5769230769230769, 0.7692307692307693], rtol=0, atol=1e-15)
+        out.data, [[0.5769230769230769, 0.7692307692307693]], rtol=0, atol=1e-15)
     assert np.linalg.norm(out.data) < 1.0
 
 
 def test_squash_zero_vector_maps_to_zero():
-    x = Tensor([0.0, 0.0, 0.0], requires_grad=True)
+    x = Tensor([[0.0, 0.0, 0.0]], requires_grad=True)
     out = ad.squash(x)
-    np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(out.data, [[0.0, 0.0, 0.0]])
     tensor_sum(out).backward()
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 0.0]])
 
 
 def test_squash_batch_rows_match_single():
@@ -36,8 +36,8 @@ def test_squash_batch_rows_match_single():
     rows = rng.normal(size=(5, 4))
     batched = ad.squash(Tensor(rows)).data
     for i in range(5):
-        single = ad.squash(Tensor(rows[i])).data
-        np.testing.assert_allclose(batched[i], single, rtol=0, atol=0)
+        single = ad.squash(Tensor(rows[i:i + 1])).data
+        np.testing.assert_allclose(batched[i:i + 1], single, rtol=0, atol=0)
     norms = np.linalg.norm(batched, axis=1)
     assert np.all(norms < 1.0)
 
@@ -45,6 +45,8 @@ def test_squash_batch_rows_match_single():
 def test_squash_rejects_3d():
     with pytest.raises(ShapeError):
         ad.squash(Tensor(np.zeros((2, 2, 2))))
+    with pytest.raises(ShapeError):  # a single vector must come as a one-row batch
+        ad.squash(Tensor(np.zeros(3)))
 
 
 def test_sum_of_squares_gradient():
@@ -121,9 +123,18 @@ def test_broadcast_add_unbroadcasts_gradient():
 
 
 def test_take_scatter_adds_repeated_indices():
+    # the reference take, which the basic-index take is checked against
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    tensor_sum(x[np.array([0, 0, 2])]).backward()
+    tensor_sum(scatter_take(x, np.array([0, 0, 2]))).backward()
     np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("index", [np.array([0, 0, 2]), [0, 2], np.array([True, False, True]),
+                                   (slice(None), np.array([1])), None])
+def test_take_rejects_non_basic_index(index):
+    x = Tensor(np.ones((3, 2)), requires_grad=True)
+    with pytest.raises(ShapeError, match="take expects ints and slices"):
+        ad.take(x, index)
 
 
 def test_concat_splits_gradient():
@@ -189,9 +200,9 @@ def test_no_grad_skips_graph():
 
 def test_adam_first_step_closed_form():
     p = Tensor([5.0], requires_grad=True)
-    opt = Adam({"p": p}, lr=0.0002)
+    opt = Adam({"p": p})
     p.grad = np.array([1.0])
-    opt.step()
+    opt.step(0.0002, 0.9, 0.999, 1e-8)
     expected = 5.0 - 0.0002 * 1.0 / (1.0 + 1e-8)
     np.testing.assert_allclose(p.data, [expected], rtol=1e-12, atol=0)
     assert p.grad is None
@@ -202,7 +213,7 @@ def test_adam_requires_gradients():
     p = Tensor([5.0], requires_grad=True)
     opt = Adam({"p": p})
     with pytest.raises(GraphError):
-        opt.step()
+        opt.step(0.0002, 0.9, 0.999, 1e-8)
 
 
 def test_adam_two_steps_match_reference_recurrence():
@@ -210,10 +221,10 @@ def test_adam_two_steps_match_reference_recurrence():
     p = Tensor(rng.normal(size=4), requires_grad=True)
     start = p.data.copy()
     grads = [rng.normal(size=4), rng.normal(size=4)]
-    opt = Adam({"p": p}, lr=0.01)
+    opt = Adam({"p": p})
     for g in grads:
         p.grad = g.copy()
-        opt.step()
+        opt.step(0.01, 0.9, 0.999, 1e-8)
     # independent replay of the textbook update
     ref = start.copy()
     m = np.zeros(4)
@@ -249,8 +260,8 @@ def test_grad_check_battery_over_all_ops():
                    rng.normal(size=(3, 4))),
         "mean_axis": (lambda t: tensor_sum(square(ad.tensor_mean(t, axis=0))),
                       rng.normal(size=(3, 2))),
-        "take": (lambda t: tensor_sum(square(t[np.array([0, 0, 1])])),
-                 rng.normal(size=(3, 2))),
+        "scatter_take": (lambda t: tensor_sum(square(scatter_take(t, np.array([0, 0, 1])))),
+                         rng.normal(size=(3, 2))),
         "take_slice": (lambda t: tensor_sum(square(t[1:, :1])),
                        rng.normal(size=(3, 2))),
         "dense": (lambda t: tensor_sum(square(ad.dense(t, weight, tail, "sigmoid"))),
@@ -338,7 +349,7 @@ def test_take_basic_slice_matches_scatter():
     y = Tensor(x.data.copy(), requires_grad=True)
     readout = rng.normal(size=(2, 3))
     tensor_sum(ad.mask_mul(x[2:4], readout)).backward()
-    tensor_sum(ad.mask_mul(y[np.array([2, 3])], readout)).backward()
+    tensor_sum(ad.mask_mul(scatter_take(y, np.array([2, 3])), readout)).backward()
     assert np.array_equal(x.grad, y.grad)
 
 
@@ -380,12 +391,12 @@ def test_flat_adam_matches_per_parameter_update_bitwise():
     grads = [{name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2)
               for name, shape in shapes.items()} for _ in range(50)]
     params = {name: Tensor(value, requires_grad=True) for name, value in start.items()}
-    opt = Adam(params, lr=0.003, beta1=0.8, beta2=0.99, epsilon=1e-7)
+    opt = Adam(params)
     views = {name: p.data for name, p in params.items()}
     for step_grads in grads:
         for name, p in params.items():
             p.grad = step_grads[name]
-        opt.step()
+        opt.step(0.003, 0.8, 0.99, 1e-7)
         assert all(p.grad is None for p in params.values())
     reference = _reference_adam(start, grads, 0.003, 0.8, 0.99, 1e-7)
     for name, (p, m, v) in reference.items():

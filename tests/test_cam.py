@@ -165,7 +165,7 @@ def test_augment_positive_order_and_shapes():
     for image, (id_feat, app_feat) in zip(images, swaps):
         assert image.shape == (2, 1, 4, 4)
         # against individual generator calls; one stacked pass may round differently
-        _, reference = model.generator_forward(id_feat, app_feat)
+        _, reference = model.generator_forward(id_feat, app_feat, image_rows=2)
         np.testing.assert_allclose(image.data, reference.data, rtol=0, atol=1e-15)
 
 
@@ -191,7 +191,7 @@ def test_augment_negative_shapes_and_swap_flag():
         # against the step's 5B-row stack and individual generator calls, which
         # may round differently from this 2B-row stack
         np.testing.assert_allclose(step_tap.data, tap.data, rtol=0, atol=1e-15)
-        reference, _ = model.generator_forward(id_feat, app_feat)
+        reference, _ = model.generator_forward(id_feat, app_feat, image_rows=2)
         np.testing.assert_allclose(tap.data, reference.data, rtol=0, atol=1e-15)
     swapped = augment_negative(emb_q, emb_n, swap_second_appearance=True, emb_positive=emb_p)
     assert swapped[0] == swaps[0]
@@ -269,8 +269,9 @@ def test_augment_negative_taps_and_gradients_match_generator_forward():
         return images[0:2], [taps[2:4], taps[4:6]]
 
     def pass_per_swap(emb_q, emb_n):
-        _, image = model.generator_forward(emb_q.id_feat, emb_q.app_feat)
-        taps = [model.generator_forward(*swap)[0] for swap in augment_negative(emb_q, emb_n)]
+        _, image = model.generator_forward(emb_q.id_feat, emb_q.app_feat, image_rows=2)
+        taps = [model.generator_forward(*swap, image_rows=2)[0]
+                for swap in augment_negative(emb_q, emb_n)]
         return image, taps
 
     outputs, grads = run(one_pass)

@@ -26,6 +26,13 @@ def test_manifest_validation():
         DatasetManifest(appearance_bands=5)  # 12 rows not divisible by 5
 
 
+def test_negative_manifest_seed_names_its_key():
+    """Rejected where the manifest is made, named by its run-config key,
+    before numpy's bare seed error."""
+    with pytest.raises(ValueError, match=r"^data\.seed must be >= 0, got -1$"):
+        DatasetManifest(seed=-1)
+
+
 def test_generate_deterministic_under_seed():
     manifest = DatasetManifest(seed=42)
     a = generate(manifest)

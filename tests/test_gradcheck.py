@@ -79,6 +79,24 @@ def test_corrupted_relu_flags_multiple_losses(monkeypatch):
     assert not status["negative_recon_loss"]
 
 
+def test_max_rel_errors_are_frozen():
+    """The six errors at seed 0, bit for bit: a change that keeps the loss
+    kernels', heads' and generator's bits keeps these."""
+    assert {name: report.max_rel_error.hex() for name, report in gradcheck_all(seed=0).items()} == {
+        "triplet_loss": "0x1.adad94b6b2f5fp-28",
+        "center_discrepancy_loss": "0x1.5301a18e81447p-33",
+        "classification_loss": "0x1.9663f9f2b33b2p-29",
+        "cam_classification_loss": "0x1.48ba62f36fec7p-29",
+        "positive_recon_loss": "0x1.bafdc01200000p-28",
+        "negative_recon_loss": "0x1.ae0378295b97dp-29",
+    }
+
+
+def test_negative_seed_is_named():
+    with pytest.raises(ValueError, match=r"^gradcheck seed must be >= 0, got -1$"):
+        gradcheck_all(seed=-1)
+
+
 def test_deterministic_given_seed():
     a = gradcheck_all(seed=7)
     b = gradcheck_all(seed=7)

@@ -273,9 +273,9 @@ def test_triplet_gradient():
     rng = np.random.default_rng(6)
 
     def fn(stacked):
-        q = DisentangledEmbedding(stacked[np.arange(0, 2)], Tensor(np.zeros((2, 1))))
-        p = DisentangledEmbedding(stacked[np.arange(2, 4)], Tensor(np.zeros((2, 1))))
-        n = DisentangledEmbedding(stacked[np.arange(4, 6)], Tensor(np.zeros((2, 1))))
+        q = DisentangledEmbedding(stacked[0:2], Tensor(np.zeros((2, 1))))
+        p = DisentangledEmbedding(stacked[2:4], Tensor(np.zeros((2, 1))))
+        n = DisentangledEmbedding(stacked[4:6], Tensor(np.zeros((2, 1))))
         batch = TripletBatch(q, p, n, np.zeros(2, dtype=int), np.ones(2, dtype=int))
         return triplet_loss(batch, margin=0.9)
 
@@ -319,8 +319,7 @@ def test_positive_recon_gradient():
     tgt_p = rng.uniform(0.0, 0.3, size=(2, 1, 2, 2))
 
     def fn(stacked):
-        images = (stacked[np.array([0, 1])], stacked[np.array([2, 3])],
-                  stacked[np.array([4, 5])])
+        images = (stacked[0:2], stacked[2:4], stacked[4:6])
         return positive_recon_loss(images, tgt_q, tgt_p)
 
     x = Tensor(rng.uniform(0.5, 0.9, size=(6, 1, 2, 2)))  # gap > 0.2 from targets
@@ -334,7 +333,7 @@ def test_negative_recon_gradient():
     tgt_b = rng.uniform(0.0, 0.3, size=(1, 2, 2, 2))
 
     def fn(stacked):
-        taps = (stacked[np.array([0])], stacked[np.array([1])])
+        taps = (stacked[0:1], stacked[1:2])
         return negative_recon_loss(taps, tgt_a, tgt_b)
 
     x = Tensor(rng.uniform(0.5, 0.9, size=(2, 2, 2, 2)))

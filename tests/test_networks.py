@@ -113,16 +113,16 @@ def test_generator_shapes_range_and_sensitivity():
     rng = np.random.default_rng(3)
     id_a = Tensor(rng.uniform(-0.5, 0.5, size=(2, 4)))
     app_a = Tensor(rng.uniform(-0.5, 0.5, size=(2, 2)))
-    tap, image = model.generator_forward(id_a, app_a)
+    tap, image = model.generator_forward(id_a, app_a, image_rows=2)
     assert tap.shape == (2, 3, 2, 2)
     assert image.shape == (2, 1, 4, 4)
     assert np.all((image.data > 0.0) & (image.data < 1.0))
     id_b = Tensor(id_a.data + 0.1)
-    tap_b, image_b = model.generator_forward(id_b, app_a)
+    tap_b, image_b = model.generator_forward(id_b, app_a, image_rows=2)
     assert np.any(tap.data != tap_b.data)
     assert np.any(image.data != image_b.data)
     with pytest.raises(ShapeError):
-        model.generator_forward(app_a, id_a)
+        model.generator_forward(app_a, id_a, image_rows=2)
 
 
 def test_cam_logits_equal_gap_under_identity_weights():

@@ -246,21 +246,26 @@ def test_every_stored_checkpoint_key_is_read(tmp_path, monkeypatch):
     assert len(metas) == 2 and read == written
 
 
-def test_resume_takes_every_adam_setting_from_the_run_config(tmp_path):
+def test_resume_takes_every_adam_setting_from_the_run_config(tmp_path, monkeypatch):
     """The checkpoint supplies Adam's state (t and the moments), the run
-    config its four settings."""
+    config the four settings each step passes."""
     Trainer(_tiny_config(tmp_path, seed=11, epochs=1)).run()
     ckpt = tmp_path / "run" / "ckpt_final"
     settings = dict(learning_rate=0.001, beta1=0.5, beta2=0.99, epsilon=1e-6)
     resumed = Trainer.from_checkpoint(ckpt, _tiny_config(tmp_path / "b", seed=11, **settings))
     optimizer = resumed.optimizer
-    assert (optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.epsilon) == (
-        0.001, 0.5, 0.99, 1e-6)
     _, stored, _, _ = load_checkpoint(ckpt)
     assert optimizer.t == stored.t == 3
     for name in stored.m:
         assert np.array_equal(optimizer.m[name], stored.m[name])
         assert np.array_equal(optimizer.v[name], stored.v[name])
+    calls = []
+    step = type(optimizer).step
+    monkeypatch.setattr(type(optimizer), "step",
+                        lambda self, *args: (calls.append(args), step(self, *args))[1])
+    resumed.train_step()
+    assert calls == [(0.001, 0.5, 0.99, 1e-6)]
+    assert optimizer.t == 4
 
 
 def test_resume_takes_the_refresh_period_from_the_run_config(tmp_path):
@@ -410,7 +415,7 @@ def test_loaded_checkpoint_parameters_move_on_step(tmp_path):
     before = {name: p.data.copy() for name, p in model.params.items()}
     for p in model.params.values():
         p.grad = np.ones_like(p.data)
-    optimizer.step()
+    optimizer.step(0.0002, 0.9, 0.999, 1e-8)
     for name, p in model.params.items():
         assert optimizer.params[name] is p
         assert np.all(p.data != before[name]), name
