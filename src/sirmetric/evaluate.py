@@ -4,20 +4,31 @@ Fused vector = [id embedding | appearance embedding | alpha * pooled
 backbone features], optionally averaged with the horizontally flipped
 image's vector.  Ranking is ascending Euclidean distance with ties broken
 by gallery index.  Distances come from the squared-norm expansion
-||q||^2 + ||g||^2 - 2 q.g, one matrix product into one (Q, N_g) buffer, and
-equal the direct ||q - g|| up to rounding.  CMC and mAP are derived from
-the positions of the relevant gallery items alone.
+||q||^2 + ||g||^2 - 2 q.g and equal the direct ||q - g|| up to rounding.
+The cross products are one matrix product, because products of row blocks
+do not keep its bits; the rest of the ranking runs one in-cache pass per
+block of about 2**15 distances, and a ranking of 2**19 or more distances
+splits its blocks across threads, one per CPU (numpy releases the GIL in
+each of the pass's operations).  CMC and mAP are derived from the
+positions of the relevant gallery items alone.
 """
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, horizontal_flip
 from .networks import ReidModel
+
+# Distances ranked in one in-cache pass: a block's four arrays (distances,
+# cross products, keys and rises) then take about 0.8 MB.
+_BLOCK_DISTANCES = 1 << 15
 
 
 @dataclass
@@ -50,41 +61,104 @@ def fuse_embeddings(images: np.ndarray, model: ReidModel, alpha: float = 0.55,
 def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
     """Ascending-Euclidean gallery order for every query: (Q, N_g) index
     matrix and the distances in that order.  Equal distances keep
-    gallery-index order."""
+    gallery-index order.
+
+    One matrix product fills the array that is returned as the distances.
+    Each block of rows (about 2**15 distances) then goes from its cross
+    products to its ranked distances, order and stability flag while it is
+    in cache.  The blocks are dealt to min(CPUs, Q*N_g >> 18, blocks)
+    threads, so a ranking of fewer than 2**19 distances runs them all in
+    this thread: starting a thread costs more than such a ranking gains."""
     queries = np.asarray(query_vectors, dtype=np.float64)
     gallery = np.asarray(gallery_vectors, dtype=np.float64)
     if (gallery.ndim != 2 or gallery.shape[0] == 0 or queries.ndim != 2
             or queries.shape[1] != gallery.shape[1]):
         raise ValueError("need (Q, dim) queries and a non-empty (N, dim) gallery, "
                          f"got shapes {queries.shape} and {gallery.shape}")
-    # ||q||^2 + ||g||^2 - 2 q.g in one (Q, N_g) buffer, the same operations
-    # in the same order as the plain expression, so the bits match it
-    distances = (queries * queries).sum(axis=1)[:, None] + (gallery * gallery).sum(axis=1)
-    cross = queries @ gallery.T
-    cross *= 2.0
-    distances -= cross
-    del cross
-    np.maximum(distances, 0.0, out=distances)
-    np.sqrt(distances, out=distances)
-    # One row sort of int64 keys: a distance's bits (nonnegative floats order as
-    # their bits) with the low bits replaced by the gallery index, then the
-    # distances put in that order in place, 64 rows at a time.  A row that does
-    # not strictly increase is sorted again stably: by value, ties by index.
-    mask = (1 << (gallery.shape[0] - 1).bit_length()) - 1
-    order = distances.view(np.int64) & ~mask
-    order |= np.arange(gallery.shape[0])
-    order.sort(axis=1)
-    order &= mask
-    row_starts = np.arange(0, distances.size, gallery.shape[0])[:, None]
-    for start in range(0, len(order), 64):
-        rows = slice(start, start + 64)
-        distances[rows] = np.take(distances, order[rows] + row_starts[rows])
-    unstable = ~np.all(distances[:, 1:] > distances[:, :-1], axis=1)
+    num_queries, num_gallery = len(queries), len(gallery)
+    query_norms = (queries * queries).sum(axis=1)[:, None]
+    gallery_norms = (gallery * gallery).sum(axis=1)
+    # one product: row-block products do not keep its bits
+    ranked = queries @ gallery.T
+    order = np.empty(ranked.shape, dtype=np.int64)
+    rising = np.empty(num_queries, dtype=bool)
+    mask = (1 << (num_gallery - 1).bit_length()) - 1
+    indices = np.arange(num_gallery)
+    block_rows = max(1, min(num_queries, _BLOCK_DISTANCES // num_gallery))
+    row_starts = np.arange(0, block_rows * num_gallery, num_gallery)[:, None]
+    workers = max(1, min(num_queries * num_gallery >> 18, -(-num_queries // block_rows)))
+    if workers > 1:   # one thread per CPU at most
+        workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
+
+    def rank_blocks(worker, block, rises):
+        # Worker k takes blocks k, k + workers, ...: ||q||^2 + ||g||^2 - 2 q.g
+        # by the same operations in the same order as the plain expression,
+        # so the bits match it; then one row sort of int64 keys (a distance's
+        # bits, as nonnegative floats order as their bits, with the low bits
+        # replaced by the gallery index) and the distances gathered in that
+        # order into the block's cross rows, through the keys shifted to flat
+        # indices and back.  Every op writes into the caller's scratch or the
+        # outputs, so no thread allocates (a thread's allocations grow a
+        # per-thread malloc arena), and take's "clip" mode does not buffer.
+        for start in range(worker * block_rows, num_queries, workers * block_rows):
+            rows = slice(start, start + block_rows)
+            cross, keys = ranked[rows], order[rows]
+            count = len(cross)
+            dist, rise, starts = block[:count], rises[:count], row_starts[:count]
+            np.add(query_norms[rows], gallery_norms, out=dist)
+            np.multiply(cross, 2.0, out=cross)
+            np.subtract(dist, cross, out=dist)
+            np.maximum(dist, 0.0, out=dist)
+            np.sqrt(dist, out=dist)
+            np.bitwise_and(dist.view(np.int64), ~mask, out=keys)
+            np.bitwise_or(keys, indices, out=keys)
+            keys.sort(axis=1)
+            np.bitwise_and(keys, mask, out=keys)
+            keys += starts
+            np.take(dist, keys, out=cross, mode="clip")
+            keys -= starts
+            np.greater(cross[:, 1:], cross[:, :-1], out=rise)
+            rise.all(axis=1, out=rising[rows])
+
+    scratch = [(np.empty((block_rows, num_gallery)),
+                np.empty((block_rows, num_gallery - 1), dtype=bool)) for _ in range(workers)]
+    _run_workers(rank_blocks, scratch)
+    # A row that does not strictly increase is sorted again stably: by
+    # value, ties by index.
+    unstable = ~rising
     if unstable.any():
-        perm = np.lexsort((order[unstable], distances[unstable]))
+        perm = np.lexsort((order[unstable], ranked[unstable]))
         order[unstable] = np.take_along_axis(order[unstable], perm, axis=1)
-        distances[unstable] = np.take_along_axis(distances[unstable], perm, axis=1)
-    return order, distances
+        ranked[unstable] = np.take_along_axis(ranked[unstable], perm, axis=1)
+    return order, ranked
+
+
+def _run_workers(task, scratch) -> None:
+    """``task(k, *scratch[k])`` for every worker k: worker 0 in this thread,
+    each other one on a thread of its own that runs in a copy of this
+    thread's context, since numpy's errstate is a context variable that a
+    new thread does not inherit.  Joins every thread before returning, and
+    re-raises the first error a thread met."""
+    errors = []
+
+    def run(worker):
+        try:
+            task(worker, *scratch[worker])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, worker))
+               for worker in range(1, len(scratch))]
+    for thread in threads:
+        thread.start()
+    try:
+        task(0, *scratch[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def cmc_and_map(rank_indices: np.ndarray, query_labels: np.ndarray,
@@ -154,6 +228,10 @@ def write_embeddings_csv(path, sample_ids, labels, id_feats: np.ndarray,
     and appearance components."""
     id_feats = np.asarray(id_feats)
     app_feats = np.asarray(app_feats)
+    lengths = [len(sample_ids), len(labels), len(id_feats), len(app_feats)]
+    if len(set(lengths)) > 1:
+        raise ValueError("sample ids, labels, id rows and appearance rows differ in "
+                         "length: {}, {}, {} and {}".format(*lengths))
     header = (["sample_id", "label"]
               + [f"id_{i}" for i in range(id_feats.shape[1])]
               + [f"app_{i}" for i in range(app_feats.shape[1])])

@@ -1,8 +1,10 @@
 """Ranking and metric checks, including an independent brute-force
-CMC/mAP oracle, bitwise oracles for the packed-key ranking and the
-hits-only scoring, and frozen digests of the chunked embedding pass."""
+CMC/mAP oracle, bitwise oracles for the packed-key ranking (in one thread
+and split across threads) and the hits-only scoring, and frozen digests
+of the chunked embedding pass."""
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sirmetric import evaluate
 from sirmetric.clusters import ClusterRegistry
 from sirmetric.data import DatasetManifest, generate
 from sirmetric.evaluate import (cmc_and_map, evaluate_retrieval,
@@ -273,6 +276,14 @@ def test_embeddings_csv(tmp_path):
     assert lines[1] == "7,0,0.1,0.2,0.5"
 
 
+def test_embeddings_csv_rejects_inputs_of_different_lengths(tmp_path):
+    emb_path = tmp_path / "emb.csv"
+    with pytest.raises(ValueError, match="length: 3, 3, 2 and 2"):
+        write_embeddings_csv(emb_path, [7, 8, 9], [0, 1, 1],
+                             np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[0.5], [0.6]]))
+    assert not emb_path.exists()
+
+
 def _reference_rank_all(queries, gallery):
     """The plain vectorized ranking: the squared-norm expression with its
     temporaries, an argsort, a gather, and a stable re-sort of rows whose
@@ -306,7 +317,8 @@ def _reference_cmc_and_map(rank_indices, query_labels, gallery_labels):
 
 def _oracle_sets():
     """Random normal sets, integer grids full of exact ties, NaNs in one
-    query and in one gallery vector, and Q = 1 and G = 1."""
+    query and in one gallery vector, Q = 1 and G = 1, a ranking large enough
+    to split across threads, and Q on either side of a 32-row block."""
     rng = np.random.default_rng(11)
     sets = [("normal", rng.normal(size=(120, 28)), rng.normal(size=(200, 28))),
             ("normal-wide", rng.normal(size=(7, 300)), rng.normal(size=(40, 300))),
@@ -321,8 +333,25 @@ def _oracle_sets():
     sets.append(("q1", rng.normal(size=(1, 6)), rng.normal(size=(25, 6))))
     sets.append(("g1", rng.normal(size=(25, 6)), rng.normal(size=(1, 6))))
     sets.append(("q1-g1", rng.normal(size=(1, 6)), rng.normal(size=(1, 6))))
+    sets.append(_split_set(rng))
+    for num_queries in (31, 32, 33):   # 2**15 // 1024 = 32 rows a block
+        sets.append((f"q{num_queries}-block", rng.normal(size=(num_queries, 5)),
+                     rng.normal(size=(1024, 5))))
     sets += _key_collision_sets(rng)
     return [pytest.param(queries, gallery, id=name) for name, queries, gallery in sets]
+
+
+def _split_set(rng):
+    """600 x 900 distances, which two CPUs rank on two threads in blocks of
+    36 rows, the second thread taking rows 36-71, 108-143, ...: rows 40-59
+    and a third of the gallery lie on an integer grid, so those rows are full
+    of exact ties, and row 70 is NaN, so the stable re-sort runs on rows the
+    second thread ranked."""
+    queries, gallery = rng.normal(size=(600, 28)), rng.normal(size=(900, 28))
+    queries[40:60] = rng.integers(0, 3, size=(20, 28))
+    gallery[::3] = rng.integers(0, 3, size=(300, 28))
+    queries[70, 5] = np.nan
+    return "split", queries, gallery
 
 
 def _key_collision_sets(rng):
@@ -411,3 +440,44 @@ def test_fused_embeddings_and_centers_across_chunk_boundaries_are_frozen():
                for array in (fused, registry.centers_matrix())]
     assert digests == ["f30fbc98692de1cdfa511cd0e3a5d53a41cb0833decee1e555722870679595c8",
                        "35e4d3188219491a28ba10d7fd225b846a1732fa61aca960ee4236ba133fb9ad"]
+
+
+@pytest.fixture
+def split_threads(monkeypatch):
+    """Two CPUs for rank_all on any host, and the threads it starts."""
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(evaluate.threading, "Thread", Recorded)
+    return started
+
+
+def test_split_ranking_keeps_the_callers_errstate(split_threads):
+    """An inf gallery coordinate makes inf - inf in every row whose query
+    coordinate is positive, on both threads; the second one must rank under
+    the caller's errstate (numpy's errstate is a context variable, and
+    pytest turns the warning into an error)."""
+    rng = np.random.default_rng(13)
+    queries, gallery = rng.normal(size=(600, 8)), rng.normal(size=(900, 8))
+    gallery[5, 3] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        order, ranked = rank_all(queries, gallery)
+        ref_order, ref_ranked = _stable_argsort_oracle(queries, gallery)
+    assert len(split_threads) == 1
+    assert np.array_equal(order, ref_order) and ranked.tobytes() == ref_ranked.tobytes()
+
+
+def test_split_ranking_joins_its_threads(split_threads):
+    rng = np.random.default_rng(14)
+    queries, gallery = rng.normal(size=(800, 4)), rng.normal(size=(800, 4))
+    before = threading.active_count()
+    order, ranked = rank_all(queries, gallery)
+    assert threading.active_count() == before
+    assert len(split_threads) == 1 and not split_threads[0].is_alive()
+    ref_order, ref_ranked = _stable_argsort_oracle(queries, gallery)
+    assert np.array_equal(order, ref_order) and ranked.tobytes() == ref_ranked.tobytes()
