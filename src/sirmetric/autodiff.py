@@ -15,7 +15,11 @@ checker used to verify every loss in this package.
 All math is float64.  The graph is single-use: run a fresh forward pass for
 every training step.  Tensors that do not require grad are plain immutable
 values and safe to share; graph construction itself is not thread-safe
-(module-level ``no_grad`` flag).
+(module-level ``no_grad`` flag).  So forward passes may run on worker
+threads only inside one ``no_grad`` block that the caller holds until every
+worker has joined, and the workers never enter ``no_grad`` themselves: it
+saves and restores the module global, so two threads entering and leaving
+it can leave grad mode off (or on) for everyone.
 """
 from __future__ import annotations
 

@@ -8,23 +8,22 @@ by gallery index.  Distances come from the squared-norm expansion
 The cross products are one matrix product, because products of row blocks
 do not keep its bits; the rest of the ranking runs one in-cache pass per
 block of about 2**15 distances, and a ranking of 2**19 or more distances
-splits its blocks across threads, one per CPU (numpy releases the GIL in
-each of the pass's operations).  CMC and mAP are derived from the
-positions of the relevant gallery items alone.
+splits its blocks across threads, one per CPU, through
+``workers.run_workers`` (numpy releases the GIL in each of the pass's
+operations).  CMC and mAP are derived from the positions of the relevant
+gallery items alone.
 """
 from __future__ import annotations
 
-import contextvars
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, horizontal_flip
 from .networks import ReidModel
+from .workers import cpus, run_workers
 
 # Distances ranked in one in-cache pass: a block's four arrays (distances,
 # cross products, keys and rises) then take about 0.8 MB.
@@ -88,10 +87,11 @@ def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
     row_starts = np.arange(0, block_rows * num_gallery, num_gallery)[:, None]
     workers = max(1, min(num_queries * num_gallery >> 18, -(-num_queries // block_rows)))
     if workers > 1:   # one thread per CPU at most
-        workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
+        workers = min(workers, cpus())
+    scratch = [(np.empty((block_rows, num_gallery)),
+                np.empty((block_rows, num_gallery - 1), dtype=bool)) for _ in range(workers)]
 
-    def rank_blocks(worker, block, rises):
+    def rank_blocks(worker):
         # Worker k takes blocks k, k + workers, ...: ||q||^2 + ||g||^2 - 2 q.g
         # by the same operations in the same order as the plain expression,
         # so the bits match it; then one row sort of int64 keys (a distance's
@@ -101,6 +101,7 @@ def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
         # indices and back.  Every op writes into the caller's scratch or the
         # outputs, so no thread allocates (a thread's allocations grow a
         # per-thread malloc arena), and take's "clip" mode does not buffer.
+        block, rises = scratch[worker]
         for start in range(worker * block_rows, num_queries, workers * block_rows):
             rows = slice(start, start + block_rows)
             cross, keys = ranked[rows], order[rows]
@@ -121,9 +122,7 @@ def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
             np.greater(cross[:, 1:], cross[:, :-1], out=rise)
             rise.all(axis=1, out=rising[rows])
 
-    scratch = [(np.empty((block_rows, num_gallery)),
-                np.empty((block_rows, num_gallery - 1), dtype=bool)) for _ in range(workers)]
-    _run_workers(rank_blocks, scratch)
+    run_workers(rank_blocks, workers)
     # A row that does not strictly increase is sorted again stably: by
     # value, ties by index.
     unstable = ~rising
@@ -132,33 +131,6 @@ def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
         order[unstable] = np.take_along_axis(order[unstable], perm, axis=1)
         ranked[unstable] = np.take_along_axis(ranked[unstable], perm, axis=1)
     return order, ranked
-
-
-def _run_workers(task, scratch) -> None:
-    """``task(k, *scratch[k])`` for every worker k: worker 0 in this thread,
-    each other one on a thread of its own that runs in a copy of this
-    thread's context, since numpy's errstate is a context variable that a
-    new thread does not inherit.  Joins every thread before returning, and
-    re-raises the first error a thread met."""
-    errors = []
-
-    def run(worker):
-        try:
-            task(worker, *scratch[worker])
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, worker))
-               for worker in range(1, len(scratch))]
-    for thread in threads:
-        thread.start()
-    try:
-        task(0, *scratch[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def cmc_and_map(rank_indices: np.ndarray, query_labels: np.ndarray,

@@ -14,6 +14,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+from .workers import cpus, run_workers
+
+# Rows per eval-mode chunk: BLAS rounding can depend on the row count.
+_EMBED_CHUNK = 256
+# Multiply-adds per row from which the chunks of one embed are split across
+# threads (see ReidModel.embed).
+_SPLIT_MULTIPLY_ADDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -177,13 +184,34 @@ class ReidModel:
 
     def embed(self, images) -> tuple:
         """Eval-mode pass (no dropout, no graph): (id, appearance, backbone feature)
-        arrays, in fixed 256-row chunks, as BLAS rounding can depend on row count."""
-        parts = []
-        with ad.no_grad():
-            for start in range(0, max(len(images), 1), 256):
-                features = self.backbone_forward(images[start:start + 256])
+        arrays, in fixed 256-row chunks, as BLAS rounding can depend on row count.
+
+        The chunks are independent.  When there are two or more and a row costs
+        at least 2**15 multiply-adds (the backbone's and separator's weight
+        sizes), worker k of min(CPUs, chunks) computes chunks k, k + workers, ...;
+        below that, starting a thread costs more than it saves.  Every chunk
+        computes what it computes alone, so the bits do not depend on the split."""
+        starts = range(0, max(len(images), 1), _EMBED_CHUNK)
+        parts = [None] * len(starts)
+        workers = 1
+        if len(starts) > 1:
+            multiply_adds = sum(param.data.size for name, param in self.params.items()
+                                if name.startswith(("backbone.w", "separator.w")))
+            if multiply_adds >= _SPLIT_MULTIPLY_ADDS:
+                workers = min(len(starts), cpus())
+
+        def embed_chunks(worker):
+            for start in starts[worker::workers]:
+                features = self.backbone_forward(images[start:start + _EMBED_CHUNK])
                 emb = self.separator_forward(features)
-                parts.append((emb.id_feat.data, emb.app_feat.data, features.data))
+                parts[start // _EMBED_CHUNK] = (emb.id_feat.data, emb.app_feat.data, features.data)
+
+        # Held until every worker has joined; workers never enter no_grad
+        # themselves, since it saves and restores a module global.
+        with ad.no_grad():
+            run_workers(embed_chunks, workers)
+        if len(parts) == 1:   # one chunk, or the empty batch: no copy
+            return parts[0]
         return tuple(np.concatenate(column) for column in zip(*parts))
 
     def cam_logits(self, features: Tensor) -> Tensor:

@@ -1,0 +1,45 @@
+"""Independent pieces of one array computation dealt to threads, one per
+CPU.  numpy releases the GIL in matrix products, in large ufuncs, in sorts
+and in ``take``, so the threads run in parallel; each caller decides by its
+own rule whether its pieces carry enough work to pay for a thread."""
+from __future__ import annotations
+
+import contextvars
+import os
+import threading
+
+
+def cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_workers(task, workers: int) -> None:
+    """``task(k)`` for every k in range(``workers``): worker 0 in this
+    thread, each other one on a thread of its own that runs in a copy of
+    this thread's context, since numpy's errstate is a context variable
+    that a new thread does not inherit.  Joins every thread that started
+    before returning or raising, also when starting one fails, and
+    re-raises the first error a worker met."""
+    errors = []
+
+    def run(worker):
+        try:
+            task(worker)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, worker))
+            thread.start()
+            threads.append(thread)
+        task(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]

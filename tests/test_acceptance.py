@@ -7,7 +7,11 @@ and must not be changed casually: the asserted margins were measured under
 exactly these seeds.
 """
 import math
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -205,12 +209,28 @@ def _intra_center_distance(trainer):
     return float(np.mean(per_identity))
 
 
-def test_criterion_6_ablation_direction(tmp_path):
+def _ablation_run(seed, weights, out_dir):
+    """One criterion-6 run, also in a spawned worker process (which turns
+    warnings into errors as pytest does): (Rank-1, intra-center distance)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = replace(with_overrides(RunConfig(), seed=seed, out_dir=out_dir), loss=weights)
+        trainer = Trainer(config)
+        trainer.run(save_checkpoints=False)
+        result, _, _ = evaluate_retrieval(trainer.dataset, trainer.model,
+                                          alpha=0.55, use_flip=True)
+        return result.rank_k(1), _intra_center_distance(trainer)
+
+
+def test_criterion_6_ablation_direction(tmp_path, monkeypatch):
     # Averaged over five frozen seeds: classifier+triplet alone ranks no
     # better than adding the center loss, which ranks no better than the
     # full objective; and the center loss strictly tightens intra-identity
     # clusters.  Seeds 10-14 were fixed after a 15-seed sweep in which the
     # ordering held on the pooled means (0.867 <= 0.902 <= 0.938).
+    # The 15 runs are independent and deterministic, so they run in
+    # min(2, CPUs) spawned processes with one BLAS thread each, or serially
+    # on one CPU; the results are collected in the serial loop's order.
     seeds = (10, 11, 12, 13, 14)
     variants = {
         "cls_tri": LossWeights(center_weight=0.0, recon_weight=0.0),
@@ -219,18 +239,19 @@ def test_criterion_6_ablation_direction(tmp_path):
     }
     rank1 = {name: [] for name in variants}
     intra = {name: [] for name in variants}
-    for seed in seeds:
-        for name, weights in variants.items():
-            config = replace(
-                with_overrides(RunConfig(), seed=seed,
-                               out_dir=str(tmp_path / f"{name}_{seed}")),
-                loss=weights)
-            trainer = Trainer(config)
-            trainer.run(save_checkpoints=False)
-            result, _, _ = evaluate_retrieval(trainer.dataset, trainer.model,
-                                              alpha=0.55, use_flip=True)
-            rank1[name].append(result.rank_k(1))
-            intra[name].append(_intra_center_distance(trainer))
+    runs = [(seed, name) for seed in seeds for name in variants]
+    columns = ([seed for seed, _ in runs], [variants[name] for _, name in runs],
+               [str(tmp_path / f"{name}_{seed}") for seed, name in runs])
+    processes = min(2, os.cpu_count() or 1)
+    if processes > 1:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")   # read by each spawned child
+        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(_ablation_run, *columns))
+    else:
+        results = list(map(_ablation_run, *columns))
+    for (seed, name), (run_rank1, run_intra) in zip(runs, results):
+        rank1[name].append(run_rank1)
+        intra[name].append(run_intra)
     mean_rank1 = {name: float(np.mean(vals)) for name, vals in rank1.items()}
     mean_intra = {name: float(np.mean(vals)) for name, vals in intra.items()}
     assert mean_rank1["cls_tri"] <= mean_rank1["cls_tri_center"], mean_rank1

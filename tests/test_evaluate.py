@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sirmetric import evaluate
+from sirmetric import workers
 from sirmetric.clusters import ClusterRegistry
 from sirmetric.data import DatasetManifest, generate
 from sirmetric.evaluate import (cmc_and_map, evaluate_retrieval,
@@ -443,18 +443,9 @@ def test_fused_embeddings_and_centers_across_chunk_boundaries_are_frozen():
 
 
 @pytest.fixture
-def split_threads(monkeypatch):
+def split_threads(force_cpus):
     """Two CPUs for rank_all on any host, and the threads it starts."""
-    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(evaluate.threading, "Thread", Recorded)
-    return started
+    return force_cpus(2)
 
 
 def test_split_ranking_keeps_the_callers_errstate(split_threads):
@@ -481,3 +472,27 @@ def test_split_ranking_joins_its_threads(split_threads):
     assert len(split_threads) == 1 and not split_threads[0].is_alive()
     ref_order, ref_ranked = _stable_argsort_oracle(queries, gallery)
     assert np.array_equal(order, ref_order) and ranked.tobytes() == ref_ranked.tobytes()
+
+
+def test_a_thread_that_cannot_start_is_an_error_and_leaves_none_running(force_cpus,
+                                                                          monkeypatch):
+    """Three CPUs and the second thread fails to start: the first one is
+    joined before the error reaches the caller."""
+    force_cpus(3)
+    started = []
+
+    class FailsSecond(threading.Thread):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(workers.threading, "Thread", FailsSecond)
+    rng = np.random.default_rng(15)
+    queries, gallery = rng.normal(size=(800, 4)), rng.normal(size=(1000, 4))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        rank_all(queries, gallery)
+    assert threading.active_count() == before
+    assert len(started) == 1 and not started[0].is_alive()

@@ -1,7 +1,11 @@
 """Shape, determinism, and structural checks on the network graph."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from sirmetric import autodiff as ad
 from sirmetric.autodiff import ShapeError, Tensor
 from sirmetric.networks import NetworkConfig, ReidModel
 
@@ -209,3 +213,99 @@ def test_embed_returns_the_eval_pass_as_arrays_in_256_row_chunks():
     assert all(type(array) is np.ndarray for array in (id_feat, app_feat, features))
     empty = model.embed(np.zeros((0, 1, 4, 4)))
     assert [array.shape for array in empty] == [(0, 4), (0, 2), (0, 3, 2, 2)]
+
+
+# 128 * 256 + 256 * 64 + 64 * 64 + 64 * 20 = 54,528 multiply-adds per row,
+# above embed's split rule of 2**15; the default widths (17,664) are below it
+ABOVE_SPLIT = NetworkConfig(backbone_hidden=256)
+
+
+def _chunk_by_chunk(model, images):
+    parts = []
+    with ad.no_grad():
+        for start in range(0, max(len(images), 1), 256):
+            features = model.backbone_forward(images[start:start + 256])
+            emb = model.separator_forward(features)
+            parts.append((emb.id_feat.data, emb.app_feat.data, features.data))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257, 600, 1200])
+def test_split_embed_equals_the_chunk_by_chunk_passes_bitwise(force_cpus, rows):
+    started = force_cpus(2)
+    model = ReidModel(ABOVE_SPLIT, seed=4)
+    images = np.random.default_rng(rows).uniform(size=(rows, 1, 16, 8))
+    before = threading.active_count()
+    arrays = model.embed(images)
+    assert threading.active_count() == before
+    assert len(started) == min(2, -(-rows // 256)) - 1
+    assert not any(thread.is_alive() for thread in started)
+    for array, expected in zip(arrays, _chunk_by_chunk(model, images)):
+        assert array.shape == expected.shape and array.tobytes() == expected.tobytes()
+    assert ad._GRAD_ENABLED
+
+
+@pytest.mark.parametrize("cpus,rows,threads", [(3, 1200, 2), (4, 600, 2), (8, 257, 1), (1, 1200, 0)])
+def test_split_embed_starts_one_thread_per_cpu_and_chunk_beyond_this_one(force_cpus, cpus,
+                                                                         rows, threads):
+    started = force_cpus(cpus)
+    model = ReidModel(ABOVE_SPLIT, seed=5)
+    images = np.random.default_rng(5).uniform(size=(rows, 1, 16, 8))
+    arrays = model.embed(images)
+    assert len(started) == threads and not any(thread.is_alive() for thread in started)
+    for array, expected in zip(arrays, _chunk_by_chunk(model, images)):
+        assert array.tobytes() == expected.tobytes()
+
+
+def test_split_embed_with_more_workers_than_cores_under_fast_switching(force_cpus):
+    """Eight workers on any host, switching threads every microsecond: no
+    chunk is lost or written twice."""
+    started = force_cpus(8)
+    model = ReidModel(ABOVE_SPLIT, seed=9)
+    images = np.random.default_rng(9).uniform(size=(2100, 1, 16, 8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        arrays = model.embed(images)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 7 and not any(thread.is_alive() for thread in started)
+    for array, expected in zip(arrays, _chunk_by_chunk(model, images)):
+        assert array.tobytes() == expected.tobytes()
+
+
+def test_embed_below_the_split_rule_starts_no_thread(force_cpus):
+    started = force_cpus(2)
+    model = ReidModel(NetworkConfig(), seed=6)
+    images = np.random.default_rng(6).uniform(size=(1200, 1, 16, 8))
+    arrays = model.embed(images)
+    assert started == []
+    for array, expected in zip(arrays, _chunk_by_chunk(model, images)):
+        assert array.tobytes() == expected.tobytes()
+
+
+def test_an_error_on_an_embed_worker_reaches_the_caller_with_no_thread_left(force_cpus,
+                                                                            monkeypatch):
+    started = force_cpus(2)
+    model = ReidModel(ABOVE_SPLIT, seed=7)
+    plain = model.separator_forward
+
+    def fails_off_the_main_thread(features, keep=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise ShapeError("worker chunk")
+        return plain(features, keep)
+
+    monkeypatch.setattr(model, "separator_forward", fails_off_the_main_thread)
+    before = threading.active_count()
+    with pytest.raises(ShapeError, match="worker chunk"):
+        model.embed(np.zeros((600, 1, 16, 8)))
+    assert threading.active_count() == before
+    assert len(started) == 1 and not started[0].is_alive()
+    assert ad._GRAD_ENABLED
+
+
+def test_split_embed_of_the_empty_batch_keeps_its_shapes(force_cpus):
+    started = force_cpus(2)
+    arrays = ReidModel(ABOVE_SPLIT, seed=8).embed(np.zeros((0, 1, 16, 8)))
+    assert [array.shape for array in arrays] == [(0, 16), (0, 4), (0, 8, 4, 2)]
+    assert started == []
