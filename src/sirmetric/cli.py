@@ -79,7 +79,7 @@ def cmd_export_embeddings(args) -> int:
     model, _, _, _ = load_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
     write_embeddings_csv(args.out, np.arange(len(dataset.labels)), dataset.labels,
-                         *model.embed(dataset.images)[:2])
+                         *model.embed(dataset.images)[0][:2])
     print(f"wrote {len(dataset.labels)} embedding rows to {args.out}")
     return 0
 

@@ -36,7 +36,7 @@ class ClusterRegistry:
         missing = sorted(identities - set(present.tolist()))
         if missing:
             raise ValueError(f"identities without training samples: {missing}")
-        embeddings = model.embed(images)[0]
+        embeddings = model.embed(images)[0][0]
         order = np.argsort(groups, kind="stable")
         slots = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
         stack = np.full((len(counts), counts.max(), embeddings.shape[1]), -0.0)

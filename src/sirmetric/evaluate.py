@@ -47,13 +47,14 @@ class RetrievalResult:
 
 def fuse_embeddings(images: np.ndarray, model: ReidModel, alpha: float = 0.55,
                     use_flip: bool = True) -> np.ndarray:
-    """Batch of images -> (N, d_I + d_A + C_b) fused vectors, from the
-    model's eval-mode ``embed`` pass."""
+    """Batch of images -> (N, d_I + d_A + C_b) fused vectors, from one
+    eval-mode ``embed`` pass over the images and, with ``use_flip``, their
+    flipped view, so the two views' chunks share its workers."""
     if not math.isfinite(alpha):
         raise ValueError(f"fusion alpha must be finite, got {alpha!r}")
     views = (images, horizontal_flip(images)) if use_flip else (images,)
     fused = [np.concatenate([id_feat, app_feat, alpha * features.mean(axis=(2, 3))], axis=1)
-             for id_feat, app_feat, features in map(model.embed, views)]
+             for id_feat, app_feat, features in model.embed(*views)]
     return 0.5 * (fused[0] + fused[1]) if use_flip else fused[0]
 
 
@@ -139,13 +140,16 @@ def cmc_and_map(rank_indices: np.ndarray, query_labels: np.ndarray,
 
     CMC counts every query; queries with no relevant gallery item can never
     hit.  Such queries are excluded from mAP and reported in
-    ``num_queries_without_match``.
+    ``num_queries_without_match``.  No queries, or an empty gallery, is a
+    ValueError.
     """
     rank_indices = np.asarray(rank_indices)
     query_labels = np.asarray(query_labels)
     gallery_labels = np.asarray(gallery_labels)
     if gallery_labels.size == 0:
         raise ValueError("empty gallery")
+    if query_labels.size == 0:
+        raise ValueError("no queries")
     if rank_indices.shape != (len(query_labels), len(gallery_labels)):
         raise ValueError(f"rank indices {rank_indices.shape} do not match the label counts")
     matches = np.empty(rank_indices.shape, dtype=bool)

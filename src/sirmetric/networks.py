@@ -8,6 +8,8 @@ image output, spatial activation maps), not about convolutional capacity.
 """
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,37 +184,47 @@ class ReidModel:
         _, height, width = self.config.image_shape
         return tap, image.reshape((image_rows, 1, height, width))
 
-    def embed(self, images) -> tuple:
-        """Eval-mode pass (no dropout, no graph): (id, appearance, backbone feature)
-        arrays, in fixed 256-row chunks, as BLAS rounding can depend on row count.
+    def embed(self, *batches) -> list:
+        """Eval-mode pass (no dropout, no graph): one (id, appearance, backbone
+        feature) tuple of arrays per image batch, each batch in fixed 256-row
+        chunks from its own row 0, as BLAS rounding can depend on row count.
 
-        The chunks are independent.  When there are two or more and a row costs
-        at least 2**15 multiply-adds (the backbone's and separator's weight
-        sizes), worker k of min(CPUs, chunks) computes chunks k, k + workers, ...;
-        below that, starting a thread costs more than it saves.  Every chunk
-        computes what it computes alone, so the bits do not depend on the split."""
-        starts = range(0, max(len(images), 1), _EMBED_CHUNK)
-        parts = [None] * len(starts)
+        The chunks of all the batches are independent.  When there are two or
+        more and a row costs at least 2**15 multiply-adds (the backbone's and
+        separator's weight sizes), min(CPUs, chunks) workers share them: worker
+        k computes chunk k, then the lowest-numbered chunk no worker has taken,
+        so a 400-row batch's 256- and 144-row chunks do not leave a worker idle
+        while there is work left; below that, starting a thread costs more than
+        it saves.  Every chunk computes what it computes alone, so the bits do
+        not depend on the split."""
+        parts = [[None] * len(range(0, max(len(images), 1), _EMBED_CHUNK)) for images in batches]
+        chunks = [(batch, chunk) for batch, slots in enumerate(parts) for chunk in range(len(slots))]
         workers = 1
-        if len(starts) > 1:
+        if len(chunks) > 1:
             multiply_adds = sum(param.data.size for name, param in self.params.items()
                                 if name.startswith(("backbone.w", "separator.w")))
             if multiply_adds >= _SPLIT_MULTIPLY_ADDS:
-                workers = min(len(starts), cpus())
+                workers = min(len(chunks), cpus())
+        untaken, taking = itertools.count(workers), threading.Lock()
 
         def embed_chunks(worker):
-            for start in starts[worker::workers]:
-                features = self.backbone_forward(images[start:start + _EMBED_CHUNK])
+            index = worker
+            while index < len(chunks):
+                batch, chunk = chunks[index]
+                start = chunk * _EMBED_CHUNK
+                features = self.backbone_forward(batches[batch][start:start + _EMBED_CHUNK])
                 emb = self.separator_forward(features)
-                parts[start // _EMBED_CHUNK] = (emb.id_feat.data, emb.app_feat.data, features.data)
+                parts[batch][chunk] = (emb.id_feat.data, emb.app_feat.data, features.data)
+                with taking:   # no chunk is taken twice
+                    index = next(untaken)
 
         # Held until every worker has joined; workers never enter no_grad
         # themselves, since it saves and restores a module global.
         with ad.no_grad():
             run_workers(embed_chunks, workers)
-        if len(parts) == 1:   # one chunk, or the empty batch: no copy
-            return parts[0]
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        # one chunk, or the empty batch: its arrays, with no copy
+        return [own[0] if len(own) == 1 else tuple(np.concatenate(column) for column in zip(*own))
+                for own in parts]
 
     def cam_logits(self, features: Tensor) -> Tensor:
         """Feature maps -> class logits via global average pooling + dense."""

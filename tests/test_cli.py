@@ -7,7 +7,7 @@ import pytest
 
 from sirmetric.blobio import read_archive, write_archive
 from sirmetric.cli import main
-from sirmetric.data import load_dataset
+from sirmetric.data import DatasetManifest, generate, load_dataset, save_dataset
 
 TINY_CONFIG = """\
 net.feature_shape=4,2,2
@@ -533,6 +533,17 @@ def test_dataset_disagreeing_with_manifest_is_error(tmp_path, capsys, name):
     write_archive(data_dir, meta, tensors)
     err = _eval_error(ckpt, data_dir, capsys)
     assert data_dir in err and repr(name) in err
+
+
+def test_eval_of_a_dataset_without_queries_is_one_error_line(tmp_path, capsys):
+    """Zero queries per identity and a non-empty gallery make a valid archive;
+    its eval must not print a NaN Rank-1 and exit 0."""
+    ckpt, _ = _trained_run(tmp_path, capsys)
+    data_dir = str(tmp_path / "no_queries")
+    save_dataset(generate(DatasetManifest(num_identities=4, samples_per_identity=5,
+                                          train_per_identity=3, query_per_identity=0,
+                                          gallery_per_identity=2, seed=1)), data_dir)
+    assert _eval_error(ckpt, data_dir, capsys) == "error: no queries"
 
 
 def test_flip_flag_rejects_junk(capsys):

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sirmetric import workers
+from sirmetric.autodiff import no_grad
 from sirmetric.clusters import ClusterRegistry
-from sirmetric.data import DatasetManifest, generate
+from sirmetric.data import DatasetManifest, generate, horizontal_flip
 from sirmetric.evaluate import (cmc_and_map, evaluate_retrieval,
                                 fuse_embeddings, metrics_json, rank_all,
                                 write_embeddings_csv)
@@ -137,6 +138,15 @@ def test_cmc_monotone_and_bounds():
 def test_empty_gallery_raises():
     with pytest.raises(ValueError):
         cmc_and_map(np.zeros((1, 0), dtype=int), np.array([0]), np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("queries,gallery,message", [(0, 3, "no queries"), (2, 0, "empty gallery")],
+                         ids=["no-queries", "empty-gallery"])
+def test_cmc_and_map_rejects_an_empty_side_by_name(queries, gallery, message):
+    """With no queries the CMC would divide by zero and print NaN."""
+    order = np.tile(np.arange(gallery), (queries, 1))
+    with pytest.raises(ValueError, match=message):
+        cmc_and_map(order, np.zeros(queries, dtype=int), np.zeros(gallery, dtype=int))
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (1, 2), (1, 4)], ids=["extra-row", "short-row", "long-row"])
@@ -440,6 +450,35 @@ def test_fused_embeddings_and_centers_across_chunk_boundaries_are_frozen():
                for array in (fused, registry.centers_matrix())]
     assert digests == ["f30fbc98692de1cdfa511cd0e3a5d53a41cb0833decee1e555722870679595c8",
                        "35e4d3188219491a28ba10d7fd225b846a1732fa61aca960ee4236ba133fb9ad"]
+
+
+def _fused_from_chunk_passes(model, images, alpha):
+    """The fused formula over each view's 256-row chunk passes, one at a time."""
+    fused = []
+    for view in (images, horizontal_flip(images)):
+        parts = []
+        with no_grad():
+            for start in range(0, len(view), 256):
+                features = model.backbone_forward(view[start:start + 256])
+                emb = model.separator_forward(features)
+                parts.append(np.concatenate([emb.id_feat.data, emb.app_feat.data,
+                                             alpha * features.data.mean(axis=(2, 3))], axis=1))
+        fused.append(np.concatenate(parts))
+    return 0.5 * (fused[0] + fused[1])
+
+
+@pytest.mark.parametrize("config,threads", [(NetworkConfig(backbone_hidden=256), 1),
+                                            (NetworkConfig(), 0)], ids=["above-split", "default"])
+def test_flipped_fusion_embeds_both_views_in_one_pass(force_cpus, config, threads):
+    """400 rows and their flipped view are four chunks of one embed call:
+    two CPUs start one thread above the split rule (not one per view), and
+    none at the default widths; the vectors keep the per-view bits."""
+    started = force_cpus(2)
+    model = ReidModel(config, seed=16)
+    images = np.random.default_rng(16).uniform(size=(400, 1, 16, 8))
+    fused = fuse_embeddings(images, model, alpha=0.55, use_flip=True)
+    assert len(started) == threads and not any(thread.is_alive() for thread in started)
+    assert fused.tobytes() == _fused_from_chunk_passes(model, images, 0.55).tobytes()
 
 
 @pytest.fixture

@@ -201,7 +201,7 @@ def test_embed_returns_the_eval_pass_as_arrays_in_256_row_chunks():
                         app_dim=2, num_identities=3, id_dropout=0.5)
     model = ReidModel(cfg, seed=3)
     images = np.random.default_rng(3).uniform(size=(600, 1, 4, 4))
-    id_feat, app_feat, features = model.embed(images)
+    [(id_feat, app_feat, features)] = model.embed(images)
     assert (id_feat.shape, app_feat.shape, features.shape) == ((600, 4), (600, 2), (600, 3, 2, 2))
     # chunk by chunk, the plain forward passes (no dropout in eval mode)
     for start in range(0, 600, 256):
@@ -211,7 +211,7 @@ def test_embed_returns_the_eval_pass_as_arrays_in_256_row_chunks():
         assert np.array_equal(id_feat[start:start + 256], emb.id_feat.data)
         assert np.array_equal(app_feat[start:start + 256], emb.app_feat.data)
     assert all(type(array) is np.ndarray for array in (id_feat, app_feat, features))
-    empty = model.embed(np.zeros((0, 1, 4, 4)))
+    [empty] = model.embed(np.zeros((0, 1, 4, 4)))
     assert [array.shape for array in empty] == [(0, 4), (0, 2), (0, 3, 2, 2)]
 
 
@@ -236,7 +236,7 @@ def test_split_embed_equals_the_chunk_by_chunk_passes_bitwise(force_cpus, rows):
     model = ReidModel(ABOVE_SPLIT, seed=4)
     images = np.random.default_rng(rows).uniform(size=(rows, 1, 16, 8))
     before = threading.active_count()
-    arrays = model.embed(images)
+    [arrays] = model.embed(images)
     assert threading.active_count() == before
     assert len(started) == min(2, -(-rows // 256)) - 1
     assert not any(thread.is_alive() for thread in started)
@@ -251,34 +251,100 @@ def test_split_embed_starts_one_thread_per_cpu_and_chunk_beyond_this_one(force_c
     started = force_cpus(cpus)
     model = ReidModel(ABOVE_SPLIT, seed=5)
     images = np.random.default_rng(5).uniform(size=(rows, 1, 16, 8))
-    arrays = model.embed(images)
+    [arrays] = model.embed(images)
     assert len(started) == threads and not any(thread.is_alive() for thread in started)
     for array, expected in zip(arrays, _chunk_by_chunk(model, images)):
         assert array.tobytes() == expected.tobytes()
 
 
 def test_split_embed_with_more_workers_than_cores_under_fast_switching(force_cpus):
-    """Eight workers on any host, switching threads every microsecond: no
-    chunk is lost or written twice."""
+    """Eight workers on any host, switching threads every microsecond, over
+    two batches' 13 chunks: no chunk is lost or written twice."""
     started = force_cpus(8)
     model = ReidModel(ABOVE_SPLIT, seed=9)
-    images = np.random.default_rng(9).uniform(size=(2100, 1, 16, 8))
+    rng = np.random.default_rng(9)
+    batches = [rng.uniform(size=(rows, 1, 16, 8)) for rows in (2100, 1000)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        arrays = model.embed(images)
+        outputs = model.embed(*batches)
     finally:
         sys.setswitchinterval(interval)
     assert len(started) == 7 and not any(thread.is_alive() for thread in started)
-    for array, expected in zip(arrays, _chunk_by_chunk(model, images)):
-        assert array.tobytes() == expected.tobytes()
+    assert len(outputs) == 2
+    for arrays, images in zip(outputs, batches):
+        for array, expected in zip(arrays, _chunk_by_chunk(model, images)):
+            assert array.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(400, 400), (255, 257), (0, 300), (700,)],
+                         ids=["400-400", "255-257", "0-300", "700"])
+def test_embed_of_several_batches_equals_each_batchs_chunk_by_chunk_passes(force_cpus, sizes):
+    """Each batch is cut into chunks from its own row 0, whichever worker
+    computes them."""
+    started = force_cpus(2)
+    model = ReidModel(ABOVE_SPLIT, seed=10)
+    rng = np.random.default_rng(len(sizes) * 1000 + sizes[-1])
+    batches = [rng.uniform(size=(rows, 1, 16, 8)) for rows in sizes]
+    outputs = model.embed(*batches)
+    assert len(outputs) == len(batches) and len(started) == 1
+    assert not started[0].is_alive()
+    for arrays, images in zip(outputs, batches):
+        assert all(type(array) is np.ndarray for array in arrays)
+        for array, expected in zip(arrays, _chunk_by_chunk(model, images)):
+            assert array.shape == expected.shape and array.tobytes() == expected.tobytes()
+
+
+def test_embed_deals_each_chunk_once_to_the_next_free_worker(force_cpus, monkeypatch):
+    """Four workers and three batches of two chunks each, with a patched
+    backbone pass that records which thread computes which chunk and holds
+    chunk 0 until every other chunk has started.  Each chunk is computed
+    once, worker k takes chunk k first and then chunks in rising order,
+    every started worker computes at least one, and the workers that are
+    free take every chunk after the first four, so worker 0 computes only
+    chunk 0 (dealing chunks k, k + workers, ... would give it chunk 4)."""
+    started = force_cpus(4)
+    model = ReidModel(ABOVE_SPLIT, seed=11)
+    rng = np.random.default_rng(11)
+    batches = [rng.uniform(size=(rows, 1, 16, 8)) for rows in (400, 300, 512)]
+    for number, images in enumerate(batches):   # pixel 0 names the batch and row
+        images[:, 0, 0, 0] = 10_000 * number + np.arange(len(images))
+    chunk_numbers = {(number, start): index for index, (number, start) in enumerate(
+        (number, start) for number, images in enumerate(batches)
+        for start in range(0, len(images), 256))}
+    expected = [_chunk_by_chunk(model, images) for images in batches]
+    computed, seen, others = {}, [], set(range(1, len(chunk_numbers)))
+    others_started = threading.Event()
+    plain = model.backbone_forward
+
+    def recording(x):
+        first = int(x[0, 0, 0, 0])
+        chunk = chunk_numbers[(first // 10_000, first % 10_000)]
+        computed.setdefault(threading.current_thread(), []).append(chunk)
+        seen.append(chunk)
+        if chunk == 0:
+            others_started.wait(timeout=10)
+        elif others <= set(seen):
+            others_started.set()
+        return plain(x)
+
+    monkeypatch.setattr(model, "backbone_forward", recording)
+    outputs = model.embed(*batches)
+    workers = [threading.main_thread(), *started]
+    assert len(started) == 3 and set(computed) == set(workers)
+    assert sorted(sum(computed.values(), [])) == list(range(len(chunk_numbers)))
+    for worker, thread in enumerate(workers):
+        assert computed[thread][0] == worker and computed[thread] == sorted(computed[thread])
+    assert computed[threading.main_thread()] == [0]
+    for arrays, passes in zip(outputs, expected):
+        assert [array.tobytes() for array in arrays] == [array.tobytes() for array in passes]
 
 
 def test_embed_below_the_split_rule_starts_no_thread(force_cpus):
     started = force_cpus(2)
     model = ReidModel(NetworkConfig(), seed=6)
     images = np.random.default_rng(6).uniform(size=(1200, 1, 16, 8))
-    arrays = model.embed(images)
+    [arrays] = model.embed(images)
     assert started == []
     for array, expected in zip(arrays, _chunk_by_chunk(model, images)):
         assert array.tobytes() == expected.tobytes()
@@ -298,7 +364,7 @@ def test_an_error_on_an_embed_worker_reaches_the_caller_with_no_thread_left(forc
     monkeypatch.setattr(model, "separator_forward", fails_off_the_main_thread)
     before = threading.active_count()
     with pytest.raises(ShapeError, match="worker chunk"):
-        model.embed(np.zeros((600, 1, 16, 8)))
+        model.embed(np.zeros((600, 1, 16, 8)), np.zeros((300, 1, 16, 8)))
     assert threading.active_count() == before
     assert len(started) == 1 and not started[0].is_alive()
     assert ad._GRAD_ENABLED
@@ -306,6 +372,6 @@ def test_an_error_on_an_embed_worker_reaches_the_caller_with_no_thread_left(forc
 
 def test_split_embed_of_the_empty_batch_keeps_its_shapes(force_cpus):
     started = force_cpus(2)
-    arrays = ReidModel(ABOVE_SPLIT, seed=8).embed(np.zeros((0, 1, 16, 8)))
+    [arrays] = ReidModel(ABOVE_SPLIT, seed=8).embed(np.zeros((0, 1, 16, 8)))
     assert [array.shape for array in arrays] == [(0, 16), (0, 4), (0, 8, 4, 2)]
     assert started == []
