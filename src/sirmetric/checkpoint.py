@@ -18,6 +18,13 @@ from .networks import NetworkConfig, ReidModel
 _NET_TABLE = field_table(NetworkConfig, "net.")
 
 
+def _count(text: str) -> int:
+    """A step or Adam's t: an integer >= 0."""
+    if int(text) < 0:
+        raise ValueError(f"negative count {text!r}")
+    return int(text)
+
+
 def save_checkpoint(dir_path, model: ReidModel, optimizer: Adam,
                     registry: ClusterRegistry, step: int, config: RunConfig) -> None:
     """Write the state at ``step``, with ``config``'s eval defaults."""
@@ -48,9 +55,9 @@ def load_checkpoint(dir_path):
     centers are restored bit-exactly; the model wraps the stored parameters
     (no random draw) and the optimizer, ``Adam(model.params)``, copies them
     into its storage and holds exactly the stored state.  A missing or
-    unparsable entry, or a parameter, Adam moment or centers tensor whose
-    shape disagrees with the net.* keys, raises ArchiveError naming the key
-    or tensor and the directory."""
+    unparsable entry, a negative step or adam.t, or a parameter, Adam
+    moment or centers tensor whose shape disagrees with the net.* keys,
+    raises ArchiveError naming the key or tensor and the directory."""
     meta, tensors = read_archive(dir_path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"archive at {dir_path} is not a checkpoint "
@@ -70,7 +77,8 @@ def load_checkpoint(dir_path):
                                f"{tensors[key].shape}, but the net.* keys give {shape}")
     model = ReidModel(config, params={name: tensors[f"param/{name}"] for name in params})
     optimizer = Adam(model.params)
-    optimizer.t = meta.parse("adam.t", int)
+    meta.parse("step", _count)
+    optimizer.t = meta.parse("adam.t", _count)
     for name in model.params:
         optimizer.m[name][...] = tensors[f"adam_m/{name}"]
         optimizer.v[name][...] = tensors[f"adam_v/{name}"]

@@ -153,10 +153,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         # usage errors, ConfigError and ArchiveError are ValueErrors; a missing
-        # file, a directory where a file belongs (or the reverse) are OSErrors
-        print(f"error: {exc}", file=sys.stderr)
+        # file, a directory where a file belongs (or the reverse) are OSErrors;
+        # a size too large for an index or for memory is the last two
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -43,6 +43,10 @@ class DatasetManifest:
             raise ValueError(f"data.seed must be >= 0, got {self.seed!r}")
         if self.num_identities < 2:
             raise ValueError("need at least 2 identities")
+        for name, least in (("query_per_identity", 0), ("gallery_per_identity", 0),
+                            ("appearance_bands", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"data.{name} must be >= {least}, got {getattr(self, name)!r}")
         split = self.train_per_identity + self.query_per_identity + self.gallery_per_identity
         if split != self.samples_per_identity:
             raise ValueError(f"splits sum to {split}, expected {self.samples_per_identity}")

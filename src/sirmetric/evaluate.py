@@ -7,11 +7,10 @@ by gallery index.  Distances come from the squared-norm expansion
 ||q||^2 + ||g||^2 - 2 q.g and equal the direct ||q - g|| up to rounding.
 The cross products are one matrix product, because products of row blocks
 do not keep its bits; the rest of the ranking runs one in-cache pass per
-block of about 2**15 distances, and a ranking of 2**19 or more distances
-splits its blocks across threads, one per CPU, through
-``workers.run_workers`` (numpy releases the GIL in each of the pass's
-operations).  CMC and mAP are derived from the positions of the relevant
-gallery items alone.
+block of about 2**15 distances, and ``workers.run_workers`` deals the
+blocks of a ranking of 2**19 or more distances to threads, one per CPU
+(numpy releases the GIL in each of the pass's operations).  CMC and mAP
+are derived from the positions of the relevant gallery items alone.
 """
 from __future__ import annotations
 
@@ -49,13 +48,21 @@ def fuse_embeddings(images: np.ndarray, model: ReidModel, alpha: float = 0.55,
                     use_flip: bool = True) -> np.ndarray:
     """Batch of images -> (N, d_I + d_A + C_b) fused vectors, from one
     eval-mode ``embed`` pass over the images and, with ``use_flip``, their
-    flipped view, so the two views' chunks share its workers."""
+    flipped view, so the two views' chunks share its workers.  A vector whose
+    squared norm is not finite, which ranking cannot use, is a ValueError."""
     if not math.isfinite(alpha):
         raise ValueError(f"fusion alpha must be finite, got {alpha!r}")
     views = (images, horizontal_flip(images)) if use_flip else (images,)
-    fused = [np.concatenate([id_feat, app_feat, alpha * features.mean(axis=(2, 3))], axis=1)
-             for id_feat, app_feat, features in model.embed(*views)]
-    return 0.5 * (fused[0] + fused[1]) if use_flip else fused[0]
+    embedded = model.embed(*views)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        fused = [np.concatenate([id_feat, app_feat, alpha * features.mean(axis=(2, 3))], axis=1)
+                 for id_feat, app_feat, features in embedded]
+        fused = 0.5 * (fused[0] + fused[1]) if use_flip else fused[0]
+        finite = np.isfinite(np.einsum("ij,ij->i", fused, fused)).all()
+    if not finite:
+        raise ValueError(f"fusion alpha {alpha!r} gives a fused vector with a non-finite "
+                         "squared norm")
+    return fused
 
 
 def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
@@ -66,9 +73,10 @@ def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
     One matrix product fills the array that is returned as the distances.
     Each block of rows (about 2**15 distances) then goes from its cross
     products to its ranked distances, order and stability flag while it is
-    in cache.  The blocks are dealt to min(CPUs, Q*N_g >> 18, blocks)
-    threads, so a ranking of fewer than 2**19 distances runs them all in
-    this thread: starting a thread costs more than such a ranking gains."""
+    in cache.  ``workers.run_workers`` deals the blocks, each to the next
+    free one of min(CPUs, Q*N_g >> 18, blocks) workers, so a ranking of
+    fewer than 2**19 distances runs them all in this thread: starting a
+    thread costs more than such a ranking gains."""
     queries = np.asarray(query_vectors, dtype=np.float64)
     gallery = np.asarray(gallery_vectors, dtype=np.float64)
     if (gallery.ndim != 2 or gallery.shape[0] == 0 or queries.ndim != 2
@@ -86,44 +94,42 @@ def rank_all(query_vectors: np.ndarray, gallery_vectors: np.ndarray):
     indices = np.arange(num_gallery)
     block_rows = max(1, min(num_queries, _BLOCK_DISTANCES // num_gallery))
     row_starts = np.arange(0, block_rows * num_gallery, num_gallery)[:, None]
-    workers = max(1, min(num_queries * num_gallery >> 18, -(-num_queries // block_rows)))
-    if workers > 1:   # one thread per CPU at most
-        workers = min(workers, cpus())
+    blocks = -(-num_queries // block_rows)
+    workers = max(1, min(num_queries * num_gallery >> 18, blocks, cpus()))
     scratch = [(np.empty((block_rows, num_gallery)),
                 np.empty((block_rows, num_gallery - 1), dtype=bool)) for _ in range(workers)]
 
-    def rank_blocks(worker):
-        # Worker k takes blocks k, k + workers, ...: ||q||^2 + ||g||^2 - 2 q.g
-        # by the same operations in the same order as the plain expression,
-        # so the bits match it; then one row sort of int64 keys (a distance's
-        # bits, as nonnegative floats order as their bits, with the low bits
-        # replaced by the gallery index) and the distances gathered in that
-        # order into the block's cross rows, through the keys shifted to flat
-        # indices and back.  Every op writes into the caller's scratch or the
-        # outputs, so no thread allocates (a thread's allocations grow a
-        # per-thread malloc arena), and take's "clip" mode does not buffer.
+    def rank_block(worker, number):
+        # ||q||^2 + ||g||^2 - 2 q.g by the same operations in the same order
+        # as the plain expression, so the bits match it; then one row sort of
+        # int64 keys (a distance's bits, as nonnegative floats order as their
+        # bits, with the low bits replaced by the gallery index) and the
+        # distances gathered in that order into the block's cross rows,
+        # through the keys shifted to flat indices and back.  Every op writes
+        # into the worker's scratch or the outputs, so no thread allocates (a
+        # thread's allocations grow a per-thread malloc arena), and take's
+        # "clip" mode does not buffer.
         block, rises = scratch[worker]
-        for start in range(worker * block_rows, num_queries, workers * block_rows):
-            rows = slice(start, start + block_rows)
-            cross, keys = ranked[rows], order[rows]
-            count = len(cross)
-            dist, rise, starts = block[:count], rises[:count], row_starts[:count]
-            np.add(query_norms[rows], gallery_norms, out=dist)
-            np.multiply(cross, 2.0, out=cross)
-            np.subtract(dist, cross, out=dist)
-            np.maximum(dist, 0.0, out=dist)
-            np.sqrt(dist, out=dist)
-            np.bitwise_and(dist.view(np.int64), ~mask, out=keys)
-            np.bitwise_or(keys, indices, out=keys)
-            keys.sort(axis=1)
-            np.bitwise_and(keys, mask, out=keys)
-            keys += starts
-            np.take(dist, keys, out=cross, mode="clip")
-            keys -= starts
-            np.greater(cross[:, 1:], cross[:, :-1], out=rise)
-            rise.all(axis=1, out=rising[rows])
+        rows = slice(number * block_rows, (number + 1) * block_rows)
+        cross, keys = ranked[rows], order[rows]
+        count = len(cross)
+        dist, rise, starts = block[:count], rises[:count], row_starts[:count]
+        np.add(query_norms[rows], gallery_norms, out=dist)
+        np.multiply(cross, 2.0, out=cross)
+        np.subtract(dist, cross, out=dist)
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        np.bitwise_and(dist.view(np.int64), ~mask, out=keys)
+        np.bitwise_or(keys, indices, out=keys)
+        keys.sort(axis=1)
+        np.bitwise_and(keys, mask, out=keys)
+        keys += starts
+        np.take(dist, keys, out=cross, mode="clip")
+        keys -= starts
+        np.greater(cross[:, 1:], cross[:, :-1], out=rise)
+        rise.all(axis=1, out=rising[rows])
 
-    run_workers(rank_blocks, workers)
+    run_workers(rank_block, blocks, workers)
     # A row that does not strictly increase is sorted again stably: by
     # value, ties by index.
     unstable = ~rising

@@ -8,8 +8,6 @@ image output, spatial activation maps), not about convolutional capacity.
 """
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,11 +189,9 @@ class ReidModel:
 
         The chunks of all the batches are independent.  When there are two or
         more and a row costs at least 2**15 multiply-adds (the backbone's and
-        separator's weight sizes), min(CPUs, chunks) workers share them: worker
-        k computes chunk k, then the lowest-numbered chunk no worker has taken,
-        so a 400-row batch's 256- and 144-row chunks do not leave a worker idle
-        while there is work left; below that, starting a thread costs more than
-        it saves.  Every chunk computes what it computes alone, so the bits do
+        separator's weight sizes), ``workers.run_workers`` deals them to one
+        worker per CPU; below that, starting a thread costs more than it
+        saves.  Every chunk computes what it computes alone, so the bits do
         not depend on the split."""
         parts = [[None] * len(range(0, max(len(images), 1), _EMBED_CHUNK)) for images in batches]
         chunks = [(batch, chunk) for batch, slots in enumerate(parts) for chunk in range(len(slots))]
@@ -204,24 +200,19 @@ class ReidModel:
             multiply_adds = sum(param.data.size for name, param in self.params.items()
                                 if name.startswith(("backbone.w", "separator.w")))
             if multiply_adds >= _SPLIT_MULTIPLY_ADDS:
-                workers = min(len(chunks), cpus())
-        untaken, taking = itertools.count(workers), threading.Lock()
+                workers = cpus()
 
-        def embed_chunks(worker):
-            index = worker
-            while index < len(chunks):
-                batch, chunk = chunks[index]
-                start = chunk * _EMBED_CHUNK
-                features = self.backbone_forward(batches[batch][start:start + _EMBED_CHUNK])
-                emb = self.separator_forward(features)
-                parts[batch][chunk] = (emb.id_feat.data, emb.app_feat.data, features.data)
-                with taking:   # no chunk is taken twice
-                    index = next(untaken)
+        def embed_chunk(worker, index):
+            batch, chunk = chunks[index]
+            start = chunk * _EMBED_CHUNK
+            features = self.backbone_forward(batches[batch][start:start + _EMBED_CHUNK])
+            emb = self.separator_forward(features)
+            parts[batch][chunk] = (emb.id_feat.data, emb.app_feat.data, features.data)
 
         # Held until every worker has joined; workers never enter no_grad
         # themselves, since it saves and restores a module global.
         with ad.no_grad():
-            run_workers(embed_chunks, workers)
+            run_workers(embed_chunk, len(chunks), workers)
         # one chunk, or the empty batch: its arrays, with no copy
         return [own[0] if len(own) == 1 else tuple(np.concatenate(column) for column in zip(*own))
                 for own in parts]

@@ -5,6 +5,7 @@ own rule whether its pieces carry enough work to pay for a thread."""
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import threading
 
@@ -16,18 +17,27 @@ def cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_workers(task, workers: int) -> None:
-    """``task(k)`` for every k in range(``workers``): worker 0 in this
-    thread, each other one on a thread of its own that runs in a copy of
-    this thread's context, since numpy's errstate is a context variable
-    that a new thread does not inherit.  Joins every thread that started
-    before returning or raising, also when starting one fails, and
-    re-raises the first error a worker met."""
+def run_workers(task, pieces: int, workers: int) -> None:
+    """``task(worker, piece)`` for every piece in range(``pieces``), dealt to
+    min(``workers``, ``pieces``) workers: worker k takes piece k, then the
+    lowest-numbered piece no worker has taken, so a worker that is held up
+    holds up no piece but its own.  Worker 0 runs in this thread, each other
+    one on a thread of its own that runs in a copy of this thread's context,
+    since numpy's errstate is a context variable that a new thread does not
+    inherit.  Joins every thread that started before returning or raising,
+    also when starting one fails, and re-raises the first error a worker
+    met."""
+    workers = max(1, min(workers, pieces))
+    untaken, taking = itertools.count(workers), threading.Lock()
     errors = []
 
     def run(worker):
+        piece = worker
         try:
-            task(worker)
+            while piece < pieces:
+                task(worker, piece)
+                with taking:   # no piece is taken twice
+                    piece = next(untaken)
         except Exception as exc:
             errors.append(exc)
 
@@ -37,7 +47,7 @@ def run_workers(task, workers: int) -> None:
             thread = threading.Thread(target=contextvars.copy_context().run, args=(run, worker))
             thread.start()
             threads.append(thread)
-        task(0)
+        run(0)
     finally:
         for thread in threads:
             thread.join()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sirmetric.blobio import read_archive, write_archive
+from sirmetric import cli
 from sirmetric.cli import main
 from sirmetric.data import DatasetManifest, generate, load_dataset, save_dataset
 
@@ -549,3 +550,73 @@ def test_eval_of_a_dataset_without_queries_is_one_error_line(tmp_path, capsys):
 def test_flip_flag_rejects_junk(capsys):
     assert _one_error_line(capsys, ["eval", "--ckpt", "x", "--data", "y", "--flip", "maybe"]) == (
         "error: argument --flip: invalid choice: 'maybe' (choose from 'true', 'false')")
+
+
+@pytest.mark.parametrize("lines, key", [
+    (("data.train_per_identity=3", "data.query_per_identity=-1",
+      "data.gallery_per_identity=3"), "data.query_per_identity"),
+    (("data.train_per_identity=3", "data.query_per_identity=3",
+      "data.gallery_per_identity=-1"), "data.gallery_per_identity"),
+    (("data.appearance_bands=0",), "data.appearance_bands"),
+    (("data.appearance_bands=-6",), "data.appearance_bands")])
+def test_negative_split_count_or_no_band_in_config_names_its_key(tmp_path, capsys, lines, key):
+    """The three split counts still sum to the samples per identity, so only
+    the count's own check stops the run: unchecked, a query count of -1
+    trains on fewer samples than data.train_per_identity, and zero bands
+    divide by zero."""
+    config_path, out_dir = _write_config(tmp_path)
+    replaced = {line.split("=")[0] for line in lines}
+    with open(config_path) as handle:
+        kept = [text for text in handle if text.split("=")[0] not in replaced]
+    with open(config_path, "w") as handle:
+        handle.write("".join(kept) + "\n".join(lines) + "\n")
+    value = next(line for line in lines if line.startswith(key + "=")).split("=")[1]
+    assert _one_error_line(capsys, ["train", "--config", config_path]) == (
+        f"error: {key} must be >= {1 if key == 'data.appearance_bands' else 0}, got {value}")
+    assert not os.path.exists(out_dir)
+
+
+def test_dataset_archive_with_no_appearance_band_is_one_error_line(tmp_path, capsys):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    _edit_manifest(data_dir, "appearance_bands", "0")
+    assert _eval_error(ckpt, data_dir, capsys) == (
+        "error: data.appearance_bands must be >= 1, got 0")
+
+
+def test_batch_size_too_large_for_an_index_is_one_error_line(tmp_path, capsys):
+    config_path, _ = _write_config(tmp_path)
+    with open(config_path) as handle:
+        config = handle.read().replace("train.batch_size=4\n", "")
+    with open(config_path, "w") as handle:
+        handle.write(config + "train.batch_size=99999999999999999999999\n")
+    err = _one_error_line(capsys, ["train", "--config", config_path])
+    assert err.removeprefix("error:").strip()
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
+    """A stand-in generator raises MemoryError: no real allocation is tried."""
+    def out_of_memory(manifest):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate", out_of_memory)
+    err = _one_error_line(capsys, ["synth", "--ids", "4", "--per-id", "5", "--seed", "1",
+                                   "--out", str(tmp_path / "data")])
+    assert err == f"error: {message or 'MemoryError'}"
+    assert not (tmp_path / "data").exists()
+
+
+def test_eval_whose_fused_vectors_overflow_is_one_error_line(tmp_path, capsys):
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    err = _eval_error(ckpt, data_dir, capsys, "--alpha", "1e308")
+    assert "alpha 1e+308" in err and "non-finite squared norm" in err
+
+
+@pytest.mark.parametrize("key, value", [("adam.t", "-1"), ("adam.t", "-2"), ("step", "-1")])
+def test_checkpoint_negative_count_names_key_and_dir(tmp_path, capsys, key, value):
+    """adam.t=-1 divided by zero in the first resumed step, and -2 was a
+    math domain error."""
+    ckpt, data_dir = _trained_run(tmp_path, capsys)
+    _edit_manifest(ckpt, key, value)
+    err = _eval_error(ckpt, data_dir, capsys)
+    assert ckpt in err and repr(key) in err and repr(value) in err

@@ -4,6 +4,7 @@ and split across threads) and the hits-only scoring, and frozen digests
 of the chunked embedding pass."""
 import hashlib
 import json
+import re
 import threading
 
 import numpy as np
@@ -262,6 +263,22 @@ def test_evaluate_retrieval_end_to_end_shapes():
     assert np.all(np.diff(distances, axis=1) >= 0.0)
     assert result.cmc[-1] == 1.0  # every query identity is in the gallery
     assert result.num_queries_without_match == 0
+
+
+@pytest.mark.parametrize("alpha,use_flip", [(1e308, True), (1e308, False), (-1e200, True)])
+def test_fused_vectors_that_overflow_are_an_error_before_ranking(monkeypatch, alpha, use_flip):
+    """The fusion and the norm check overflow quietly (pytest turns a numpy
+    warning into an error) and evaluate_retrieval stops before rank_all."""
+    dataset = generate(DatasetManifest(num_identities=3, samples_per_identity=6,
+                                       train_per_identity=3, query_per_identity=1,
+                                       gallery_per_identity=2, image_shape=(1, 4, 4),
+                                       appearance_bands=3, seed=0))
+    model = ReidModel(CFG, seed=2)
+    monkeypatch.setattr("sirmetric.evaluate.rank_all", None)
+    with pytest.raises(ValueError, match=re.escape(f"alpha {alpha!r} gives") + ".* non-finite squared norm"):
+        evaluate_retrieval(dataset, model, alpha=alpha, use_flip=use_flip)
+    with pytest.raises(ValueError, match="non-finite squared norm"):
+        fuse_embeddings(dataset.images, model, alpha=alpha, use_flip=use_flip)
 
 
 def test_metrics_json_document():
