@@ -14,17 +14,16 @@ checker used to verify every loss in this package.
 
 All math is float64.  The graph is single-use: run a fresh forward pass for
 every training step.  Tensors that do not require grad are plain immutable
-values and safe to share; graph construction itself is not thread-safe
-(module-level ``no_grad`` flag).  So forward passes may run on worker
-threads only inside one ``no_grad`` block that the caller holds until every
-worker has joined, and the workers never enter ``no_grad`` themselves: it
-saves and restores the module global, so two threads entering and leaving
-it can leave grad mode off (or on) for everyone.
+values and safe to share.  Grad mode is a context variable, so each thread
+has its own, and ``workers.run_workers`` hands the caller's to its workers.
+Two threads must not run ``backward`` into the same parameters at once:
+accumulating a gradient is not atomic.
 """
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,19 +38,17 @@ class GraphError(RuntimeError):
     missing gradients."""
 
 
-_GRAD_ENABLED = True
+_GRAD_ENABLED = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (pure numpy forward)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 def _coerce(value) -> "Tensor":
@@ -152,7 +149,7 @@ def node(data, parents: tuple, rule) -> Tensor:
     """An op's result: a graph node whose backward calls ``rule`` with the
     node's gradient when grad mode is on and a parent requires grad, else a
     plain ``Tensor(data)``.  Every op builds its result here."""
-    if _GRAD_ENABLED:
+    if _GRAD_ENABLED.get():
         for parent in parents:
             if parent.requires_grad:
                 out = Tensor(data, requires_grad=True)
@@ -398,15 +395,13 @@ class GradCheckReport:
     num_coordinates: int
 
 
-def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4,
-               scale_floor: float = 1e-3) -> GradCheckReport:
+def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare the analytic gradient of scalar-valued ``f`` at ``x`` with
     central finite differences (f(x+h) - f(x-h)) / 2h per coordinate.
 
-    The relative error denominator is floored at ``scale_floor`` so that
-    coordinates with near-zero gradients are judged on an absolute scale
-    instead of blowing up.  ``f`` must be deterministic and side-effect
-    free.
+    The relative error denominator is floored at 1e-3 so that coordinates
+    with near-zero gradients are judged on an absolute scale instead of
+    blowing up.  ``f`` must be deterministic and side-effect free.
     """
     for name, value in (("h", h), ("tol", tol)):
         if not (math.isfinite(value) and value > 0.0):
@@ -432,6 +427,6 @@ def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4,
 
     if base.size == 0:
         return GradCheckReport(0.0, tol, True, 0)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), scale_floor)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     max_rel = float(np.max(np.abs(analytic - numeric) / denom))
     return GradCheckReport(max_rel, tol, max_rel <= tol, int(base.size))

@@ -22,6 +22,9 @@ class ConfigError(ValueError):
     """Unknown key, malformed value, or inconsistent configuration."""
 
 
+_MAX_BATCH = (2 ** 63 - 1) // 3
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a training run needs.  Defaults are the trained-model
@@ -49,7 +52,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name, ok, rule in (
-                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("batch_size", 1 <= self.batch_size <= _MAX_BATCH,
+                 f"in [1, {_MAX_BATCH}] (its 3 * batch_size triplet indices fit int64)"),
                 ("epochs", self.epochs >= 0, ">= 0"),
                 ("steps_per_epoch", self.steps_per_epoch >= 1, ">= 1"),
                 ("refresh_period_epochs", self.refresh_period_epochs >= 1, ">= 1"),

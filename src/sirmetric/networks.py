@@ -191,8 +191,9 @@ class ReidModel:
         more and a row costs at least 2**15 multiply-adds (the backbone's and
         separator's weight sizes), ``workers.run_workers`` deals them to one
         worker per CPU; below that, starting a thread costs more than it
-        saves.  Every chunk computes what it computes alone, so the bits do
-        not depend on the split."""
+        saves.  The workers run under this call's ``no_grad``, and every
+        chunk computes what it computes alone, so the bits do not depend on
+        the split."""
         parts = [[None] * len(range(0, max(len(images), 1), _EMBED_CHUNK)) for images in batches]
         chunks = [(batch, chunk) for batch, slots in enumerate(parts) for chunk in range(len(slots))]
         workers = 1
@@ -209,8 +210,6 @@ class ReidModel:
             emb = self.separator_forward(features)
             parts[batch][chunk] = (emb.id_feat.data, emb.app_feat.data, features.data)
 
-        # Held until every worker has joined; workers never enter no_grad
-        # themselves, since it saves and restores a module global.
         with ad.no_grad():
             run_workers(embed_chunk, len(chunks), workers)
         # one chunk, or the empty batch: its arrays, with no copy

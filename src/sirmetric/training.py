@@ -37,7 +37,8 @@ class Trainer:
     """Runs the full objective over random triplets and records per-step
     component losses.  The dataset is the one given, else the configured
     path's, else the manifest's synthesis; an image shape other than the
-    network's, or a label of net.num_identities or more, is a ConfigError."""
+    network's, a label of net.num_identities or more, or an identity below it
+    with no train sample, is a ConfigError."""
 
     def __init__(self, config: RunConfig, dataset: Dataset | None = None,
                  model: ReidModel | None = None, optimizer: Adam | None = None,
@@ -49,6 +50,11 @@ class Trainer:
                               f"match network input {config.network.image_shape}")
         if int(dataset.labels.max()) >= config.network.num_identities:
             raise ConfigError("dataset has more identities than the classifier heads")
+        missing = np.setdiff1d(np.arange(config.network.num_identities),
+                               dataset.labels[dataset.train_idx])
+        if missing.size:
+            raise ConfigError(f"net.num_identities is {config.network.num_identities}, but the "
+                              f"train split has no samples of identities {missing.tolist()}")
         self.config = config
         self.dataset = dataset
         self.model = model if model is not None else ReidModel(config.network, config.seed)

@@ -23,10 +23,10 @@ def run_workers(task, pieces: int, workers: int) -> None:
     lowest-numbered piece no worker has taken, so a worker that is held up
     holds up no piece but its own.  Worker 0 runs in this thread, each other
     one on a thread of its own that runs in a copy of this thread's context,
-    since numpy's errstate is a context variable that a new thread does not
-    inherit.  Joins every thread that started before returning or raising,
-    also when starting one fails, and re-raises the first error a worker
-    met."""
+    since numpy's errstate and autodiff's grad mode are context variables
+    that a new thread does not inherit.  Joins every thread that started
+    before returning or raising, also when starting one fails, and re-raises
+    the first error a worker met."""
     workers = max(1, min(workers, pieces))
     untaken, taking = itertools.count(workers), threading.Lock()
     errors = []

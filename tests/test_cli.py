@@ -593,6 +593,30 @@ def test_batch_size_too_large_for_an_index_is_one_error_line(tmp_path, capsys):
     assert err.removeprefix("error:").strip()
 
 
+def test_batch_size_whose_triplet_indices_overflow_int64_names_the_key(tmp_path, capsys):
+    config_path, out_dir = _write_config(tmp_path)
+    with open(config_path) as handle:
+        config = handle.read().replace("train.batch_size=4\n", "")
+    with open(config_path, "w") as handle:
+        handle.write(config + "train.batch_size=99999999999999999999999\n")
+    err = _one_error_line(capsys, ["train", "--config", config_path])
+    assert err.startswith("error: train.batch_size must be in [1, 3074457345618258602]")
+    assert not os.path.exists(out_dir)
+
+
+def test_train_on_a_dataset_missing_an_identity_names_the_key(tmp_path, capsys):
+    """3 identities under the 4-identity heads: rejected before any run
+    directory is made."""
+    config_path, out_dir = _write_config(tmp_path)
+    with open(config_path) as handle:
+        config = handle.read().replace("data.num_identities=4\n", "data.num_identities=3\n")
+    with open(config_path, "w") as handle:
+        handle.write(config)
+    assert _one_error_line(capsys, ["train", "--config", config_path]) == (
+        "error: net.num_identities is 4, but the train split has no samples of identities [3]")
+    assert not os.path.exists(out_dir)
+
+
 @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"])
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
     """A stand-in generator raises MemoryError: no real allocation is tried."""

@@ -212,3 +212,12 @@ def test_out_of_range_optimizer_loss_and_eval_values_name_their_key(line):
     key = line.split("=")[0]
     with pytest.raises(ConfigError, match=rf"^{key} must be "):
         parse_config(line + "\n")
+
+
+def test_batch_size_is_bounded_by_its_int64_triplet_indices():
+    """3 * batch_size triplet indices must fit int64; the check allocates nothing."""
+    largest = (2 ** 63 - 1) // 3
+    assert RunConfig(batch_size=largest).batch_size == largest
+    with pytest.raises(ConfigError, match=r"^train.batch_size must be in \[1, "
+                                          rf"{largest}\] .*, got {largest + 1}$"):
+        RunConfig(batch_size=largest + 1)

@@ -3,13 +3,14 @@ miniature scale."""
 import hashlib
 import os
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sirmetric import checkpoint, training
-from sirmetric.autodiff import no_grad
+from sirmetric.autodiff import Tensor, no_grad
 from sirmetric.blobio import Entries
 from sirmetric.checkpoint import load_checkpoint, save_checkpoint
 from sirmetric.cli import main
@@ -91,6 +92,52 @@ def test_step_requires_refreshed_registry(tmp_path):
     trainer = Trainer(_tiny_config(tmp_path))
     with pytest.raises(RuntimeError):
         trainer.train_step()
+
+
+def _grad_mode_on() -> bool:
+    """Whether an op on a tensor that requires grad builds a graph node here."""
+    return Tensor(np.ones(2), requires_grad=True).mean().requires_grad
+
+
+def test_no_grad_on_two_threads_leaves_each_its_own_mode(tmp_path):
+    """Thread a enters no_grad, b enters, a leaves, then b leaves (as two
+    concurrent ``embed`` calls may): each thread sees only its own blocks, and
+    the main thread still builds graphs and trains every parameter."""
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        with no_grad():
+            a_in.set()
+            assert b_in.wait(timeout=10)
+            seen["a inside"] = _grad_mode_on()
+        seen["a after"] = _grad_mode_on()
+        a_out.set()
+
+    def thread_b():
+        assert a_in.wait(timeout=10)
+        with no_grad():
+            b_in.set()
+            assert a_out.wait(timeout=10)
+            seen["b inside"] = _grad_mode_on()
+        seen["b after"] = _grad_mode_on()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    trainer = Trainer(_tiny_config(tmp_path))
+    train = trainer.dataset.train_idx
+    trainer.registry.refresh(trainer.dataset.images[train], trainer.dataset.labels[train],
+                             trainer.model, epoch=0)
+    before = {name: p.data.copy() for name, p in trainer.model.params.items()}
+    trainer.train_step()
+    assert seen == {"a inside": False, "a after": True, "b inside": False, "b after": True}
+    assert _grad_mode_on()
+    for name, p in trainer.model.params.items():
+        assert np.any(p.data != before[name]), name
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -337,14 +384,18 @@ def test_resume_from_a_mid_period_checkpoint_keeps_the_schedule(tmp_path):
     assert (tmp_path / "run" / "loss_log.csv").read_bytes() == expected
 
 
-@pytest.mark.parametrize("edit,message", [("identities", "more identities than the classifier"),
-                                          ("channels", r"\(3, 8, 4\) do not match network")])
+@pytest.mark.parametrize("edit,message", [
+    ("identities", "more identities than the classifier"),
+    ("channels", r"\(3, 8, 4\) do not match network"),
+    ("uncovered", r"^net.num_identities is 4, but the train split has no samples of "
+                  r"identities \[3\]$")])
 def test_trainer_rejects_a_given_dataset_that_does_not_fit_the_network(tmp_path, edit, message):
     """A dataset passed in is checked as a loaded or synthesized one is: 8
-    identities under 4-identity heads, or 3-channel images under a 1-channel
-    backbone."""
-    manifest = (replace(TINY_DATA, num_identities=8) if edit == "identities"
-                else replace(TINY_DATA, image_shape=(3, 8, 4)))
+    identities under 4-identity heads, 3-channel images under a 1-channel
+    backbone, or 3 identities under 4-identity heads."""
+    manifest = {"identities": replace(TINY_DATA, num_identities=8),
+                "channels": replace(TINY_DATA, image_shape=(3, 8, 4)),
+                "uncovered": replace(TINY_DATA, num_identities=3)}[edit]
     with pytest.raises(ConfigError, match=message):
         Trainer(_tiny_config(tmp_path), dataset=generate(manifest))
 

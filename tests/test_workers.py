@@ -1,6 +1,7 @@
 """``workers.run_workers`` on its own: which worker computes which piece,
-the threads it starts and joins, and the errors it passes on; and the
-layout rule that the package deals pieces to threads in that one place."""
+the threads it starts and joins, the caller's state its workers run under
+and the errors it passes on; and the layout rules that the package deals
+pieces to threads in that one place and keeps no state in module globals."""
 import ast
 import threading
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sirmetric import autodiff as ad
 from sirmetric.workers import run_workers
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sirmetric"
@@ -95,6 +97,19 @@ def test_every_worker_runs_under_the_callers_errstate():
     assert seen == {piece: "ignore" for piece in range(4)}
 
 
+def test_every_worker_runs_under_the_callers_grad_mode():
+    seen = {}
+
+    def task(worker, piece):
+        seen[piece] = ad.Tensor(np.ones(2), requires_grad=True).mean().requires_grad
+
+    with ad.no_grad():
+        run_workers(task, 4, 4)
+    assert seen == {piece: False for piece in range(4)}
+    run_workers(task, 4, 4)
+    assert seen == {piece: True for piece in range(4)}
+
+
 def test_only_the_workers_module_imports_threading():
     importers = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -104,3 +119,12 @@ def test_only_the_workers_module_imports_threading():
             if any(name and name.split(".")[0] == "threading" for name in names):
                 importers.append(path.name)
     assert importers == ["workers.py"]
+
+
+def test_no_module_has_a_global_statement():
+    """Caller state reaches worker threads through the context copy that
+    ``run_workers`` makes, never through a rebound module global."""
+    rebinders = sorted(path.name for path in PACKAGE.glob("*.py")
+                       if any(isinstance(node, ast.Global)
+                              for node in ast.walk(ast.parse(path.read_text()))))
+    assert rebinders == []
