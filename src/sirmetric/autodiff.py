@@ -10,7 +10,9 @@ reference ops in the tests included) builds its result with, the shape ops
 (``take``, ``reshape``, ``concat``, ``tensor_mean``), ``mask_mul``,
 ``squash``, the fused ``dense`` layer, the Adam optimizer, state only, which
 owns the parameter storage, and a central finite-difference gradient
-checker used to verify every loss in this package.
+checker used to verify every loss in this package.  The ops take Tensors;
+only ``mask_mul`` also wraps a plain array.  ``Tensor.__getitem__``,
+``mean``, ``reshape`` and ``squash`` are the module's ops themselves.
 
 All math is float64.  The graph is single-use: run a fresh forward pass for
 every training step.  Tensors that do not require grad are plain immutable
@@ -102,7 +104,7 @@ class Tensor:
         """Add ``grad`` at a basic ``index`` into a gradient array this tensor
         owns, so slices of one tensor share one zeroed array."""
         if self.grad is None or self.grad is not self._owned:
-            self.grad = self._owned = (np.zeros_like(self.data) if self.grad is None
+            self.grad = self._owned = (np.zeros(self.data.shape) if self.grad is None
                                        else self.grad.copy())
         self.grad[index] += grad
 
@@ -113,36 +115,26 @@ class Tensor:
             raise GraphError(f"backward needs a scalar loss, got shape {self.data.shape}")
         if self._spent:
             raise GraphError("backward already ran on this graph; rebuild the forward pass")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
+        # depth first, last parent first; a node joins ``order`` once all its
+        # parents have, and the rules run in reverse.  Leaves have no rule and
+        # no parents, so the walk passes over them.
+        order, seen, stack = [], set(), [(self, False)]
+        push, pop, visit = stack.append, stack.pop, seen.add
         while stack:
-            node, expanded = stack.pop()
+            node, expanded = pop()
             if expanded:
-                topo.append(node)
+                order.append(node)
             elif node not in seen:  # tensors hash by identity
-                seen.add(node)
-                stack.append((node, True))
+                visit(node)
+                push((node, True))
                 for parent in node._parents:
-                    if parent not in seen:
-                        stack.append((parent, False))
-        self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+                    if parent._rule is not None and parent not in seen:
+                        push((parent, False))
+        self._accumulate(np.ones(self.data.shape))
+        for node in reversed(order):
             if node._rule is not None and node.grad is not None:
                 node._rule(node.grad)
         self._spent = True
-
-    def __getitem__(self, index):
-        return take(self, index)
-
-    def mean(self, axis=None):
-        return tensor_mean(self, axis)
-
-    def reshape(self, shape: tuple):
-        return reshape(self, shape)
-
-    def squash(self):
-        return squash(self)
 
 
 def node(data, parents: tuple, rule) -> Tensor:
@@ -191,24 +183,19 @@ def squash(a) -> Tensor:
     """Norm-bounding nonlinearity on each row of a (B, d) batch:
     v -> (|v|^2 / (1 + |v|^2)) * v / |v|.  The zero row maps to the zero row.
     """
-    a = _coerce(a)
     if a.data.ndim != 2:
         raise ShapeError(f"squash expects a (B, d) row batch, got shape {a.data.shape}")
     rows = a.data
-    sq_norm = (rows * rows).sum(axis=1, keepdims=True)
+    sq_norm = np.add.reduce(rows * rows, axis=1, keepdims=True)
     norm = np.sqrt(sq_norm)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(sq_norm > 0.0, norm / (1.0 + sq_norm), 0.0)
+    live = sq_norm > 0.0  # zero (and NaN) rows keep scale and curvature 0
+    scale = np.divide(norm, 1.0 + sq_norm, out=np.zeros(sq_norm.shape), where=live)
     data = rows * scale
 
     def rule(g):
-        dot = (rows * g).sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            curvature = np.where(
-                sq_norm > 0.0,
-                (1.0 - sq_norm) / (norm * (1.0 + sq_norm) ** 2),
-                0.0,
-            )
+        dot = np.add.reduce(rows * g, axis=1, keepdims=True)
+        curvature = np.divide(1.0 - sq_norm, norm * (1.0 + sq_norm) ** 2,
+                              out=np.zeros(sq_norm.shape), where=live)
         a._accumulate(scale * g + rows * (dot * curvature))
 
     return node(data, (a,), rule)
@@ -218,24 +205,22 @@ def squash(a) -> Tensor:
 
 
 def tensor_mean(a, axis=None) -> Tensor:
-    a = _coerce(a)
-    data = a.data.mean(axis=axis)
+    data = a.data.mean(axis=axis)  # a bad or repeated axis raises here
     shape = a.data.shape
-    axes = range(len(shape)) if axis is None else (axis,) if isinstance(axis, int) else axis
-    axes = {i % len(shape) for i in axes}
-    count = int(np.prod([shape[i] for i in axes]))
-    kept = tuple(1 if i in axes else n for i, n in enumerate(shape))  # g's shape, reduced axes kept
+    kept, count = list(shape), 1  # g's shape with the reduced axes kept, and their size
+    for i in (range(len(shape)) if axis is None else (axis,) if isinstance(axis, int) else axis):
+        count *= shape[i]
+        kept[i] = 1
 
     def rule(g):
         grad = np.empty(shape)
-        grad[...] = np.reshape(g / count, kept)
+        grad[...] = (g / count).reshape(kept)
         a._accumulate(grad)
 
     return node(data, (a,), rule)
 
 
 def reshape(a, shape) -> Tensor:
-    a = _coerce(a)
     data = a.data.reshape(shape)
 
     def rule(g):
@@ -248,10 +233,9 @@ def take(a, index) -> Tensor:
     """Basic indexing (ints and slices, so each element is selected at most
     once); any other index is a ShapeError.  Slices of one tensor scatter
     their gradients into one shared gradient array."""
-    a = _coerce(a)
-    if not all(isinstance(part, (slice, int)) for part in
-               (index if isinstance(index, tuple) else (index,))):
-        raise ShapeError(f"take expects ints and slices, got {index!r}")
+    for part in (index if isinstance(index, tuple) else (index,)):
+        if not isinstance(part, (slice, int)):
+            raise ShapeError(f"take expects ints and slices, got {index!r}")
     data = np.array(a.data[index])
 
     def rule(g):
@@ -261,20 +245,23 @@ def take(a, index) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
+    tensors = tuple(tensors)
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def rule(g):
-        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-        sl = [slice(None)] * g.ndim
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        sl, stop = [slice(None)] * g.ndim, 0
+        for t in tensors:
+            start, stop = stop, stop + t.data.shape[axis]
             if t.requires_grad:
                 sl[axis] = slice(start, stop)
                 t._accumulate(g[tuple(sl)])
 
-    return node(data, tuple(tensors), rule)
+    return node(data, tensors, rule)
+
+
+Tensor.__getitem__, Tensor.mean, Tensor.reshape, Tensor.squash = take, tensor_mean, reshape, squash
 
 
 # ---- fused ops -------------------------------------------------------------
@@ -289,7 +276,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def dense(x, w, b, act: str = "none") -> Tensor:
     """act(x @ w + b) for act in none, relu, sigmoid."""
-    x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
             or b.data.shape != w.data.shape[1:]):
         raise ShapeError(f"dense: incompatible shapes {x.data.shape}, {w.data.shape}, "
@@ -312,7 +298,7 @@ def dense(x, w, b, act: str = "none") -> Tensor:
         elif act == "sigmoid":
             g = sigmoid_grad(g, data)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(np.add.reduce(g, axis=0))
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
         if w.requires_grad:
@@ -352,16 +338,18 @@ class Adam:
             start = stop
 
     def step(self, lr: float, beta1: float, beta2: float, epsilon: float) -> None:
+        grads = []
         for name, p in self.params.items():
             if p.grad is None:
                 raise GraphError(f"parameter '{name}' has no gradient; run backward first")
+            grads.append(p.grad)
         self.t += 1
         bc1 = 1.0 - beta1 ** self.t
         bc2 = 1.0 - beta2 ** self.t
         if self._scratch is None:
             self._scratch = np.empty((2,) + self._flat.shape)
         (g, a), m, v = self._scratch, self._m, self._v
-        np.concatenate([p.grad.reshape(-1) for p in self.params.values()], out=g)
+        np.concatenate(grads, axis=None, out=g)
         # elementwise the per-parameter update, with the bias corrections
         # folded into two scalars (Kingma & Ba 2015, section 2)
         #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2

@@ -58,6 +58,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    for flag, value in (("--ids", args.ids), ("--per-id", args.per_id)):
+        if value < 2:
+            raise ValueError(f"{flag} must be >= 2, got {value}")
     per_split = args.per_id // 5
     manifest = DatasetManifest(
         num_identities=args.ids,

@@ -159,7 +159,7 @@ def sample_triplets(dataset: Dataset, rng, count: int) -> tuple:
         raise ValueError("no negative candidates outside the query identity")
     total, size = len(group), index["size"]
     if size:
-        draws = rng.integers(0, np.tile([len(eligible), size - 1, total - size], count))
+        draws = rng.integers(0, np.array([len(eligible), size - 1, total - size] * count))
     else:
         draws = []
         for _ in range(count):
@@ -173,7 +173,7 @@ def sample_triplets(dataset: Dataset, rng, count: int) -> tuple:
     # skip the query's slot for the positive; the k-th non-member sits after
     # the members whose key is <= k
     positive = start + j + (j >= query - start)
-    negative = k + np.searchsorted(index["keys"], g * (total + 1) + k, side="right") - start
+    negative = k + index["keys"].searchsorted(g * (total + 1) + k, side="right") - start
     return index["members"][query], index["members"][positive], dataset.train_idx[negative]
 
 

@@ -7,6 +7,10 @@ Conventions shared by every kernel here:
   i.e. constants during backward;
 - log-sum-exp terms use a detached max shift (same value, same gradient,
   no overflow);
+- sums and maxima call the reductions ``ndarray.sum`` and ``.max`` wrap
+  (``np.add.reduce``, ``np.maximum.reduce``), and the backward rules scale
+  by the scalar upstream gradient itself, not by an array filled with it;
+  both give the same bits with fewer calls;
 - every loss, the weighted total included, is one fused node built with
   ``autodiff.node``: its function holds the forward and the backward of
   the primitive chain it stands for, with the chain's numpy expressions in
@@ -75,7 +79,7 @@ class TripletBatch:
                 raise ValueError("query/positive/negative batch sizes disagree")
         if self.query_labels.shape != (n,) or self.negative_labels.shape != (n,):
             raise ValueError("labels must be one per batch entry")
-        if np.any(self.query_labels == self.negative_labels):
+        if (self.query_labels == self.negative_labels).any():
             raise ValueError("negative label equals query label in some entry")
 
 
@@ -84,7 +88,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     rows; a label outside that range is a ValueError.  Every loss that takes
     labels also takes these rows, so a step checks and builds them once."""
     labels = np.asarray(labels)
-    if np.any(labels < 0) or np.any(labels >= num_classes):
+    if (labels < 0).any() or (labels >= num_classes).any():
         raise ValueError(f"labels must lie in [0, {num_classes})")
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
@@ -108,11 +112,11 @@ def triplet_loss(batch: TripletBatch, margin: float = 0.9) -> Tensor:
     q, p, n = batch.query.id_feat, batch.positive.id_feat, batch.negative.id_feat
     diff_p = q.data - p.data
     diff_n = q.data - n.data
-    hinge = (diff_p * diff_p).sum(axis=1) - (diff_n * diff_n).sum(axis=1) + margin
-    data = np.maximum(hinge, 0.0).sum() / hinge.size
+    hinge = np.add.reduce(diff_p * diff_p, axis=1) - np.add.reduce(diff_n * diff_n, axis=1) + margin
+    data = np.add.reduce(np.maximum(hinge, 0.0), axis=None) / hinge.size
 
     def rule(g):
-        g_hinge = ad.relu_grad(np.full(hinge.shape, g / hinge.size), hinge > 0.0)
+        g_hinge = ad.relu_grad(g / hinge.size, hinge > 0.0)
         grad_p = 2.0 * diff_p * g_hinge[:, None]
         grad_n = 2.0 * diff_n * (-g_hinge)[:, None]
         # the chain's order: (q - p) hands q then p its part, then (q - n)
@@ -132,17 +136,17 @@ def _softmax_cross_entropy(z: np.ndarray, labels: np.ndarray):
     target = np.asarray(_targets(labels, z.shape[1]), dtype=np.float64)
     if target.shape != z.shape:
         raise ShapeError(f"logits {z.shape} vs one-hot rows {target.shape}")
-    shift = z.max(axis=1, keepdims=True)
+    shift = np.maximum.reduce(z, axis=1, keepdims=True)
     exps = np.exp(z - shift)
-    summed = exps.sum(axis=1)
-    losses = np.log(summed) + shift.reshape(-1) - (z * target).sum(axis=1)
-    return losses.sum() / losses.size, exps, summed, target
+    summed = np.add.reduce(exps, axis=1)
+    losses = np.log(summed) + shift.reshape(-1) - np.add.reduce(z * target, axis=1)
+    return np.add.reduce(losses, axis=None) / losses.size, exps, summed, target
 
 
 def _softmax_cross_entropy_grads(g, exps, summed, target):
     """The logits' two gradient contributions, in the order the chain adds them."""
-    g_rows = np.full(summed.shape, g / summed.size)
-    return exps * (g_rows / summed)[:, None], (-g_rows)[:, None] * target
+    g_row = g / summed.size
+    return exps * (g_row / summed)[:, None], -g_row * target
 
 
 def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
@@ -163,7 +167,8 @@ def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
                          f"embeddings {x.shape}")
     rows, dim = x.shape
     diff = x.reshape(rows, 1, dim) - centers[None, :, :]
-    data, exps, summed, target = _softmax_cross_entropy((diff * diff).sum(axis=2) * -1.0, labels)
+    data, exps, summed, target = _softmax_cross_entropy(np.add.reduce(diff * diff, axis=2) * -1.0,
+                                                        labels)
 
     def rule(g):
         first, second = _softmax_cross_entropy_grads(g, exps, summed, target)
@@ -171,7 +176,7 @@ def center_discrepancy_loss(id_feat: Tensor, labels: np.ndarray,
         # the sum's backward materialises the (B, K, d) broadcast: a stride-0
         # operand would make the product below several times slower
         g_sq = np.broadcast_to(g_dist[:, :, None], diff.shape).copy()
-        id_feat._accumulate((2.0 * diff * g_sq).sum(axis=1))
+        id_feat._accumulate(np.add.reduce(2.0 * diff * g_sq, axis=1))
 
     return ad.node(data, (id_feat,), rule)
 
@@ -201,16 +206,16 @@ def _l1_terms(outputs, targets, what: str) -> Tensor:
     diffs, data = [], None
     for output, target in zip(outputs, targets):
         target = np.asarray(target, dtype=np.float64)
-        if output.shape != target.shape:
-            raise ShapeError(f"{what} {output.shape} vs target {target.shape}")
+        if output.data.shape != target.shape:
+            raise ShapeError(f"{what} {output.data.shape} vs target {target.shape}")
         diffs.append(output.data - target)
-        term = np.abs(diffs[-1]).sum() / diffs[-1].size
+        term = np.add.reduce(np.abs(diffs[-1]), axis=None) / diffs[-1].size
         data = term if data is None else data + term
 
     def rule(g):
         for t, diff in zip(outputs, diffs):
             if t.requires_grad:
-                t._accumulate(np.full(diff.shape, g / diff.size) * np.sign(diff))
+                t._accumulate((g / diff.size) * np.sign(diff))
 
     return ad.node(data, tuple(outputs), rule)
 

@@ -227,7 +227,7 @@ class ReidModel:
         map[b] = sum_c W[c, labels[b]] * features[b, c].
         """
         labels = np.asarray(labels)
-        if np.any(labels < 0) or np.any(labels >= self.config.num_identities):
+        if (labels < 0).any() or (labels >= self.config.num_identities).any():
             raise ValueError(f"labels must lie in [0, {self.config.num_identities})")
         weights = self.params["cam.w"].data[:, labels]  # (C_b, B)
         return np.einsum("bchw,cb->bhw", feature_values, weights)

@@ -83,28 +83,34 @@ class Trainer:
         every row before a checkpoint's step when the checkpoint is written.
         A run that starts past step 0 keeps an existing loss log's first
         ``step`` rows, which must be steps 0 .. step - 1 (else ValueError, the
-        log untouched), cuts the log after them and appends there."""
+        log untouched), cuts the log after them and appends there.  The output
+        directory and the log are made, or the log cut, once the first step
+        has succeeded: a run whose first step fails writes nothing, apart from
+        the checkpoint that a run resumed at an epoch boundary writes first."""
         cfg = self.config
         total_steps = cfg.epochs * cfg.steps_per_epoch
-        os.makedirs(cfg.out_dir, exist_ok=True)
         log_path = os.path.join(cfg.out_dir, "loss_log.csv")
         resuming = self.step > 0 and os.path.exists(log_path)
-        if resuming:
-            os.truncate(log_path, _kept_log_end(log_path, self.step))
-        with open(log_path, "a" if resuming else "w") as log:
-            if not resuming:
-                log.write(LOG_HEADER + "\n")
+        kept = _kept_log_end(log_path, self.step) if resuming else None
+        log = None
+        try:
             while self.step < total_steps:
                 if self.step % cfg.steps_per_epoch == 0:
                     epoch = self.step // cfg.steps_per_epoch
                     if save_checkpoints and epoch > 0:
-                        log.flush()
+                        if log is not None:
+                            log.flush()
                         self._save(f"ckpt_step_{self.step}")
                     last = self.registry.last_refresh_epoch
                     if last is None or epoch - last >= cfg.refresh_period_epochs:
                         self._refresh_centers(epoch)
                 row = self.train_step()
+                log = log or _open_log(log_path, kept)
                 log.write(self._format_row(row) + "\n")
+            log = log or _open_log(log_path, kept)
+        finally:
+            if log is not None:
+                log.close()
         if save_checkpoints:
             self._save("ckpt_final")
         return self.loss_rows
@@ -131,7 +137,7 @@ class Trainer:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, self.step)))
         losses = step_losses(self.model, *draw_step(self.dataset, rng, cfg),
                              self.registry.centers_matrix(), cfg)
-        row = (self.step,) + tuple(loss.item() for loss in losses)
+        row = (self.step, *[loss.item() for loss in losses])
         for name, value in zip(LOG_HEADER.split(",")[1:], row[1:]):
             if not math.isfinite(value):
                 raise ValueError(f"step {self.step}: non-finite {name} ({value!r}); "
@@ -185,6 +191,18 @@ def step_losses(model: ReidModel, images: np.ndarray, keep, y_q: np.ndarray,
         f_q, f_n, model.cam_maps(f_q, y_q), model.cam_maps(f_n, y_n))
     neg = negative_recon_loss(taps, pseudo_q, pseudo_n)
     return cls, tri, center, cam, pos, neg, total_loss(cls, tri, center, cam, pos, neg, config.loss)
+
+
+def _open_log(log_path, kept):
+    """The loss log, open for appending: cut to its first ``kept`` bytes, or
+    made with its header when ``kept`` is None, in a directory made if need be."""
+    os.makedirs(os.path.dirname(log_path), exist_ok=True)
+    if kept is None:
+        log = open(log_path, "w")
+        log.write(LOG_HEADER + "\n")
+        return log
+    os.truncate(log_path, kept)
+    return open(log_path, "a")
 
 
 def _kept_log_end(log_path, step: int) -> int:

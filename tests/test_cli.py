@@ -644,3 +644,34 @@ def test_checkpoint_negative_count_names_key_and_dir(tmp_path, capsys, key, valu
     _edit_manifest(ckpt, key, value)
     err = _eval_error(ckpt, data_dir, capsys)
     assert ckpt in err and repr(key) in err and repr(value) in err
+
+
+def test_train_whose_first_step_fails_writes_nothing(tmp_path, capsys):
+    """All-NaN images pass the archive checks and fail the first step's
+    finiteness check: no run directory, no loss log."""
+    config_path, out_dir = _write_config(tmp_path)
+    dataset = generate(DatasetManifest(num_identities=4, samples_per_identity=5,
+                                       train_per_identity=3, query_per_identity=1,
+                                       gallery_per_identity=1, seed=1))
+    dataset.images[:] = np.nan
+    data_dir = str(tmp_path / "nan_data")
+    save_dataset(dataset, data_dir)
+    with open(config_path, "a") as handle:
+        handle.write(f"data.path={data_dir}\n")
+    assert _one_error_line(capsys, ["train", "--config", config_path]) == (
+        "error: step 0: non-finite cls_loss (nan); stopped before the update")
+    assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("flag, value", [("--ids", "1"), ("--ids", "-3"),
+                                         ("--per-id", "1"), ("--per-id", "-5")])
+def test_synth_names_the_flag_below_two(tmp_path, capsys, flag, value):
+    """Fewer than two identities, or than two samples per identity, is
+    named by its flag, not by a manifest field the command derived."""
+    argv = {"--ids": "5", "--per-id": "5"}
+    argv[flag] = value
+    out = tmp_path / "data"
+    assert _one_error_line(capsys, ["synth", "--ids", argv["--ids"], "--per-id",
+                                    argv["--per-id"], "--seed", "1", "--out", str(out)]) == (
+        f"error: {flag} must be >= 2, got {value}")
+    assert not out.exists()

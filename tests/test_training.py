@@ -1,8 +1,10 @@
 """Trainer determinism, checkpoint round-trip, and resume equality at
 miniature scale."""
 import hashlib
+import inspect
 import os
 import re
+import sys
 import threading
 from dataclasses import replace
 
@@ -490,6 +492,20 @@ def test_non_finite_loss_stops_before_update(tmp_path):
         assert not np.any(trainer.optimizer.m[name])
 
 
+def test_a_resumed_run_whose_first_step_fails_leaves_the_log_unchanged(tmp_path):
+    """The resumed log's kept rows are checked before the first step, but
+    the rows after them are cut only once that step has succeeded."""
+    config = _tiny_config(tmp_path)
+    Trainer(config).run()
+    log_path = tmp_path / "run" / "loss_log.csv"
+    before = log_path.read_bytes()
+    resumed = Trainer.from_checkpoint(tmp_path / "run" / "ckpt_step_3", config,
+                                      dataset=_nan_dataset())
+    with pytest.raises(ValueError, match=r"^step 3: non-finite cls_loss \(nan\)"):
+        resumed.run(save_checkpoints=False)
+    assert log_path.read_bytes() == before and resumed.step == 3
+
+
 FD_STEP, SCALE_FLOOR, TOLERANCE, MAX_SCREENED_SHARE = 1e-5, 1e-3, 1e-3, 0.05
 
 
@@ -507,12 +523,6 @@ def test_whole_step_gradient_matches_finite_differences(seed, monkeypatch):
     images.  A coordinate whose one-sided slopes disagree by more than the
     tolerance (on the same floored scale) has a relu or L1 kink within h, so
     its central difference is screened out; more than 5 % screened fails.
-
-    Blind spot: at default weights every generator gradient is at most about
-    3.3e-6, far below the 1e-3 floor, so an error in the generator's backward
-    passes here.  Unit loss weights do not lift it (generator gradients near
-    1e-6, and 7-16 % of coordinates screened), so gradcheck_all's two
-    reconstruction entries remain the generator's check.
     """
     config = RunConfig(seed=seed)
     dataset = generate(config.data)
@@ -564,3 +574,120 @@ def test_whole_step_gradient_matches_finite_differences(seed, monkeypatch):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), SCALE_FLOOR)
     rel = (np.abs(analytic - numeric) / denom)[~kinked]
     assert rel.max() <= TOLERANCE, f"max relative error {rel.max():.3g}"
+
+
+GENERATOR_TERMS = {"pos": (4, 1e-4, 1e-6), "neg": (5, 1e-5, 1e-5)}  # term index, h for w, h for b  # term index, h for w, h for b
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("term", sorted(GENERATOR_TERMS))
+def test_generator_gradients_match_finite_differences(seed, term, monkeypatch):
+    """The positive (``pos``) and negative (``neg``) reconstruction terms of
+    step_losses, five steps into the default run, each differentiated alone
+    with respect to 16 sampled coordinates of every generator parameter it
+    reaches (``neg`` reads the feature taps, so not the image head w3, b3).
+    Their gradients are far below the whole-step test's 1e-3 floor, so that
+    test cannot see an error in the generator's backward; this one can.
+
+    Central differences at h = 1e-5 for ``neg``; ``pos`` is an L1 over
+    sigmoid images and needs h = 1e-4 for weights and 1e-6 for biases.  The
+    relative error's denominator is floored per parameter at 1e-3 times its
+    largest |gradient|.  Tolerance, pseudo-ground-truth freeze and the
+    one-sided kink screen are the whole-step test's.  Five steps in, not at
+    initialisation: there 13-16 of ``neg``'s 1,024 tap elements lie within
+    1e-5 above their relu kink, and 6-22 of its 64 coordinates screen out."""
+    index, h_weight, h_bias = GENERATOR_TERMS[term]
+    config = RunConfig(seed=seed)
+    trainer = Trainer(config)
+    trainer._refresh_centers(0)
+    for _ in range(5):
+        trainer.train_step()
+    dataset, model, registry = trainer.dataset, trainer.model, trainer.registry
+    drawn = draw_step(dataset, np.random.default_rng(np.random.SeedSequence((seed, 1, 5))),
+                      config)
+    base_targets = []
+    build = training.build_pseudo_gt_batch
+
+    def pseudo_gt_at_base(*args):
+        if not base_targets:
+            base_targets.append(build(*args))
+        return base_targets[0]
+
+    monkeypatch.setattr(training, "build_pseudo_gt_batch", pseudo_gt_at_base)
+
+    def value():
+        return step_losses(model, *drawn, registry.centers_matrix(), config)[index]
+
+    value().backward()
+    reached = {name: p for name, p in model.params.items()
+               if name.startswith("generator.") and p.grad is not None}
+    assert sorted(reached) == sorted(f"generator.{kind}{layer}" for kind in "wb"
+                                     for layer in ("123" if term == "pos" else "12"))
+    pick = np.random.default_rng(seed)
+    worst, screened, checked = 0.0, 0, 0
+    with no_grad():
+        at_base = value().item()
+        for name, p in reached.items():
+            h = h_weight if name.startswith("generator.w") else h_bias
+            grad, flat = p.grad.reshape(-1), p.data.reshape(-1)
+            floor = SCALE_FLOOR * np.abs(grad).max()
+            assert floor > 0.0, name
+            for i in pick.choice(flat.size, 16, replace=False):
+                x = flat[i]
+                flat[i] = x + h
+                above = value().item()
+                flat[i] = x - h
+                below = value().item()
+                flat[i] = x
+                forward, backward = (above - at_base) / h, (at_base - below) / h
+                if abs(forward - backward) / max(abs(forward), abs(backward), floor) > TOLERANCE:
+                    screened += 1  # a relu or L1 kink lies within h
+                    continue
+                numeric = (above - below) / (2.0 * h)
+                worst = max(worst, abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), floor))
+                checked += 1
+    assert screened <= MAX_SCREENED_SHARE * (screened + checked), f"{screened} screened"
+    assert worst <= TOLERANCE, f"max relative error {worst:.3g}"
+
+
+def _own_calls(call) -> int:
+    """Calls into functions defined in the package made while ``call()`` runs,
+    counted by sys.setprofile.  Comprehension and generator frames are left
+    out, as their count depends on the Python version."""
+    package = os.path.dirname(training.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(package)
+                and not code.co_name.startswith("<") and not code.co_flags & inspect.CO_GENERATOR):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_a_default_train_step_keeps_its_graph_and_call_counts():
+    """One train step at the RunConfig defaults builds 63 graph nodes, walked
+    from the total loss by identity as the benchmark counts them, and makes
+    at most 333 calls into the package's own functions.  A rise in either is
+    a cost every step pays, so it must be explained where it is made."""
+    config = RunConfig(seed=3)
+    trainer = Trainer(config)
+    trainer._refresh_centers(0)
+    trainer.train_step()  # the sampler's index is built by the first draw
+    drawn = draw_step(trainer.dataset, np.random.default_rng(0), config)
+    total = step_losses(trainer.model, *drawn, trainer.registry.centers_matrix(), config)[-1]
+    seen, stack = set(), [total]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) == 63
+    assert _own_calls(trainer.train_step) <= 333
